@@ -8,7 +8,7 @@ on the mathematics.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_index_pairs",
     "ensure_rng",
 ]
 
@@ -79,31 +78,6 @@ def check_probability(value: float, name: str) -> float:
     if not np.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be a probability in [0, 1]; got {value!r}")
     return value
-
-
-def check_index_pairs(
-    pairs: Iterable[Tuple[int, int]],
-    n: int,
-    name: str = "pairs",
-    *,
-    allow_self: bool = False,
-) -> np.ndarray:
-    """Validate an iterable of index pairs against a node count *n*.
-
-    Returns an ``(m, 2)`` int64 array.  Self-pairs are rejected unless
-    *allow_self* is set.
-    """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
-    if arr.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"{name} must have shape (m, 2); got {arr.shape}")
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0) or np.any(arr >= n):
-        raise ValidationError(f"{name} contains indices outside [0, {n})")
-    if not allow_self and np.any(arr[:, 0] == arr[:, 1]):
-        raise ValidationError(f"{name} contains self-pairs (i == j)")
-    return arr
 
 
 def ensure_rng(rng=None) -> np.random.Generator:

@@ -22,21 +22,24 @@ This subsystem provides the batched substrate those campaigns run on:
     (:func:`solve_local_lss_stack`), the path
     ``repro.core.distributed`` routes through by default.
 :mod:`repro.engine.campaign`
-    A seeded Monte-Carlo campaign runner: independent trials fan out
-    across ``multiprocessing`` workers, each trial drawing its own
-    :class:`numpy.random.Generator` from a ``SeedSequence`` child of the
-    master seed, and per-metric statistics are aggregated in trial
-    order so results are reproducible bit-for-bit regardless of worker
-    count.
-:mod:`repro.engine.trials`
-    Ready-made, picklable trial functions (multilateration, LSS, APS)
-    for campaigns.
+    The one seeded trial executor behind every campaign: each trial
+    draws its own :class:`numpy.random.Generator` from child *i* of
+    ``SeedSequence(master_seed)``, trials run inline or fan out over
+    one ``multiprocessing`` pool, and records (and traced worker data)
+    are committed in trial order, so results are reproducible
+    bit-for-bit regardless of worker count.  It has three entry
+    points: :func:`run_monte_carlo` runs a fixed-count campaign (the
+    full index range), :func:`~repro.engine.sharding.run_campaign_shard`
+    runs one contiguous index range of it, and
+    :func:`~repro.engine.scheduler.run_adaptive` checks a
+    confidence-interval stopping rule at chunk boundaries.
 :mod:`repro.engine.scheduler`
-    The adaptive sibling of the campaign runner: trial chunks stream
-    through the pool and the campaign stops early once a
-    confidence-interval criterion on the target metric is met, while
-    committed records remain a bit-identical prefix of the same-seed
-    fixed-count campaign.
+    The adaptive entry point and its :class:`ConfidenceStop` rule; an
+    early-stopped campaign's records are a bit-identical prefix of the
+    same-seed fixed-count campaign.
+:mod:`repro.engine.sharding`
+    Shard planning (:func:`plan_shards`) and :func:`merge_shards`,
+    which reassembles N shard results into the single-host campaign.
 
 Batching layout
 ---------------

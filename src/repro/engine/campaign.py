@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo campaign runner.
+"""Seeded Monte-Carlo campaign runner and the one trial executor.
 
 The paper's evaluation style — and the ROADMAP's heavy-traffic goal —
 is statistics over many independent randomized trials: re-randomize the
@@ -18,18 +18,27 @@ that shape of workload:
 * **Aggregation.**  Trial metrics are collected in trial order into
   per-metric arrays with mean/median/std/min/max summaries.
 
+Seeding, fan-out and traced-result merging live in one private
+executor, :func:`_run_trials`, shared by all three campaign modes:
+fixed-count (:func:`run_monte_carlo`, the full index range), sharded
+(:func:`repro.engine.sharding.run_campaign_shard`, one sub-range) and
+adaptive (:func:`repro.engine.scheduler.run_adaptive`, the full range
+with a stopping rule checked at chunk boundaries).
+
 Trial functions must be module-level callables (picklable for the
 pool) with signature ``trial_fn(rng, **trial_kwargs) -> Mapping[str,
-float]``; :mod:`repro.engine.trials` ships ready-made ones.
+float]``; :func:`repro.scenarios.trial.scenario_trial` is the one the
+scenario layer uses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -189,55 +198,75 @@ def _execute_trial_traced(payload):
     return record, cap.worker_data()
 
 
-def _merge_traced_results(results, *, under=None) -> list:
-    """Fold ``(record, worker_data)`` pairs into the parent recorder.
+def _run_trials(
+    trial_fn: Callable[..., Mapping[str, float]],
+    n_trials: int,
+    indices: range,
+    *,
+    master_seed: int,
+    n_workers: int,
+    trial_kwargs: Optional[Mapping[str, object]],
+    mp_context: Optional[str],
+    on_boundary: Optional[Callable[[List[TrialRecord]], bool]] = None,
+    chunk_size: int = 1,
+) -> List[TrialRecord]:
+    """Run the trials of *indices*, a sub-range of ``[0, n_trials)``.
 
-    *results* must be in trial-index order (both ``Pool.map`` and the
-    inline loop preserve submission order), so the merged trace is
-    worker-count independent.
-    """
-    rec = telemetry.current()
-    records = []
-    for record, data in results:
-        rec.merge_worker(data, under=under)
-        rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
-        records.append(record)
-    return records
+    The one executor behind every campaign mode.  Trial ``i`` always
+    gets child ``i`` of ``SeedSequence(master_seed).spawn(n_trials)``,
+    whatever the range.  ``n_workers == 1`` runs inline; more use one
+    pool.  Records come back in index order either way.
 
-
-def _execute_payloads(
-    payloads, n_workers: int, mp_context: Optional[str], *, traced: bool = False
-) -> list:
-    """Run trial payloads inline (``n_workers == 1``) or over a pool.
-
-    The single execution path for both the full campaign runner and the
-    shard runner (:mod:`repro.engine.sharding`): worker fan-out, start-
-    method fallback, and pool chunking live here once, so the two paths
-    cannot drift apart.
-
-    With ``traced`` (the caller checks the active recorder), each trial
-    runs under a worker-local telemetry capture whose snapshot is merged
-    back into the parent recorder in trial-index order.
+    With *on_boundary*, the committed records are passed to it after
+    every *chunk_size* trials and after a ragged last chunk; a true
+    return stops the run, and leaving the pool terminates speculative
+    trials.  Traced runs then record a ``chunk`` span per boundary and
+    re-root worker solve spans beneath it.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
-    if n_workers == 1:
-        if traced:
-            return _merge_traced_results(
-                [_execute_trial_traced(payload) for payload in payloads]
-            )
-        return [_execute_trial(payload) for payload in payloads]
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else "spawn"
-    ctx = multiprocessing.get_context(mp_context)
-    chunksize = max(1, len(payloads) // (4 * n_workers))
-    with ctx.Pool(processes=n_workers) as pool:
-        if traced:
-            return _merge_traced_results(
-                pool.map(_execute_trial_traced, payloads, chunksize=chunksize)
-            )
-        return pool.map(_execute_trial, payloads, chunksize=chunksize)
+    kwargs = dict(trial_kwargs or {})
+    children = np.random.SeedSequence(master_seed).spawn(n_trials)
+    payloads = [(trial_fn, i, children[i], kwargs) for i in indices]
+    rec = telemetry.current()
+    traced = rec.active
+    under = f"{rec.current_path()}/chunk" if traced and on_boundary else None
+    mapper = _execute_trial_traced if traced else _execute_trial
+    records: List[TrialRecord] = []
+    with contextlib.ExitStack() as stack:
+        if n_workers == 1:
+            results = map(mapper, payloads)
+        else:
+            if mp_context is None:
+                methods = multiprocessing.get_all_start_methods()
+                mp_context = "fork" if "fork" in methods else "spawn"
+            ctx = multiprocessing.get_context(mp_context)
+            pool = stack.enter_context(ctx.Pool(processes=n_workers))
+            chunksize = 1 if on_boundary else max(1, len(payloads) // (4 * n_workers))
+            results = pool.imap(mapper, payloads, chunksize=chunksize)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        for record in results:
+            if traced:
+                record, data = record
+                rec.merge_worker(data, under=under)
+                rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
+            records.append(record)
+            if on_boundary is None or (
+                len(records) % chunk_size and len(records) < len(payloads)
+            ):
+                continue
+            if traced:
+                rec.add_span(
+                    "chunk",
+                    time.perf_counter() - wall0,
+                    time.process_time() - cpu0,
+                    index=(len(records) - 1) // chunk_size,
+                    committed=len(records),
+                )
+            if on_boundary(records):
+                break
+            wall0, cpu0 = time.perf_counter(), time.process_time()
+    return records
 
 
 def run_monte_carlo(
@@ -271,16 +300,19 @@ def run_monte_carlo(
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    kwargs = dict(trial_kwargs or {})
-    children = np.random.SeedSequence(master_seed).spawn(n_trials)
-    payloads = [(trial_fn, i, children[i], kwargs) for i in range(n_trials)]
     rec = telemetry.current()
     wall0 = time.perf_counter()
     with rec.span(
         "campaign", mode="fixed", n_trials=int(n_trials), n_workers=int(n_workers)
     ):
-        records = _execute_payloads(
-            payloads, n_workers, mp_context, traced=rec.active
+        records = _run_trials(
+            trial_fn,
+            n_trials,
+            range(n_trials),
+            master_seed=master_seed,
+            n_workers=n_workers,
+            trial_kwargs=trial_kwargs,
+            mp_context=mp_context,
         )
     if rec.active:
         _record_campaign_metrics(rec, len(records), n_workers, wall0)

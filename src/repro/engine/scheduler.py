@@ -40,7 +40,6 @@ The scheduler preserves PR 1's seed discipline exactly:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,9 +52,8 @@ from ..errors import ValidationError
 from .campaign import (
     CampaignResult,
     TrialRecord,
-    _execute_trial,
-    _execute_trial_traced,
     _record_campaign_metrics,
+    _run_trials,
 )
 
 __all__ = [
@@ -216,47 +214,29 @@ def run_adaptive(
     """
     if max_trials < 1:
         raise ValidationError("max_trials must be >= 1")
-    if n_workers < 1:
-        raise ValidationError("n_workers must be >= 1")
     if not isinstance(stopping, ConfidenceStop):
         raise ValidationError("stopping must be a ConfidenceStop")
     chunk_size = resolve_chunk_size(stopping, chunk_size)
 
-    kwargs = dict(trial_kwargs or {})
-    children = np.random.SeedSequence(master_seed).spawn(max_trials)
-    payloads = [(trial_fn, i, children[i], kwargs) for i in range(max_trials)]
-
-    records: List[TrialRecord] = []
     half_widths: List[float] = []
-    converged = False
-
+    satisfied: List[bool] = []
     rec = telemetry.current()
-    traced = rec.active
 
-    def committed_metric() -> np.ndarray:
-        return np.asarray(
+    def check_boundary(records: List[TrialRecord]) -> bool:
+        values = np.asarray(
             [r.metrics.get(stopping.metric, float("nan")) for r in records],
             dtype=float,
         )
-
-    def check_boundary() -> bool:
-        values = committed_metric()
         half_widths.append(stopping.half_width(values))
-        ok = stopping.satisfied(values)
+        satisfied.append(bool(stopping.satisfied(values)))
         rec.event(
             "scheduler.boundary",
             chunk=len(half_widths),
             committed=len(records),
             half_width=half_widths[-1],
-            satisfied=bool(ok),
+            satisfied=satisfied[-1],
         )
-        return ok
-
-    def run_traced_trial(payload) -> TrialRecord:
-        record, data = _execute_trial_traced(payload)
-        rec.merge_worker(data, under=chunk_under)
-        rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
-        return record
+        return satisfied[-1]
 
     wall_start = time.perf_counter()
     with rec.span(
@@ -266,64 +246,18 @@ def run_adaptive(
         chunk_size=int(chunk_size),
         n_workers=int(n_workers),
     ):
-        # Worker solve spans re-root under an explicit "chunk" segment in
-        # both execution paths, so the trace's span tree is identical for
-        # any worker count (the telemetry face of the prefix property).
-        chunk_under = f"{rec.current_path()}/chunk" if traced else None
-        if n_workers == 1:
-            for start in range(0, max_trials, chunk_size):
-                wall0, cpu0 = time.perf_counter(), time.process_time()
-                for payload in payloads[start : start + chunk_size]:
-                    records.append(
-                        run_traced_trial(payload) if traced
-                        else _execute_trial(payload)
-                    )
-                if traced:
-                    rec.add_span(
-                        "chunk",
-                        time.perf_counter() - wall0,
-                        time.process_time() - cpu0,
-                        index=len(half_widths),
-                        committed=len(records),
-                    )
-                if check_boundary():
-                    converged = True
-                    break
-        else:
-            if mp_context is None:
-                methods = multiprocessing.get_all_start_methods()
-                mp_context = "fork" if "fork" in methods else "spawn"
-            ctx = multiprocessing.get_context(mp_context)
-            with ctx.Pool(processes=n_workers) as pool:
-                # imap keeps the pool saturated ahead of the consumer while
-                # results are committed strictly in trial order; leaving the
-                # context manager terminates any speculative trials past the
-                # stopping point.
-                mapper = _execute_trial_traced if traced else _execute_trial
-                wall0, cpu0 = time.perf_counter(), time.process_time()
-                for item in pool.imap(mapper, payloads, chunksize=1):
-                    if traced:
-                        record, data = item
-                        rec.merge_worker(data, under=chunk_under)
-                        rec.observe(
-                            "engine.campaign.trial_wall_s", data["busy_s"]
-                        )
-                        records.append(record)
-                    else:
-                        records.append(item)
-                    if len(records) % chunk_size == 0 or len(records) == max_trials:
-                        if traced:
-                            rec.add_span(
-                                "chunk",
-                                time.perf_counter() - wall0,
-                                time.process_time() - cpu0,
-                                index=len(half_widths),
-                                committed=len(records),
-                            )
-                            wall0, cpu0 = time.perf_counter(), time.process_time()
-                        if check_boundary():
-                            converged = True
-                            break
+        records = _run_trials(
+            trial_fn,
+            max_trials,
+            range(max_trials),
+            master_seed=master_seed,
+            n_workers=n_workers,
+            trial_kwargs=trial_kwargs,
+            mp_context=mp_context,
+            on_boundary=check_boundary,
+            chunk_size=chunk_size,
+        )
+    converged = satisfied[-1]
 
     if converged:
         reason = (
@@ -332,7 +266,7 @@ def run_adaptive(
         )
     else:
         reason = f"trial budget exhausted ({max_trials} trials)"
-    if traced:
+    if rec.active:
         _record_campaign_metrics(rec, len(records), n_workers, wall_start)
         rec.count("scheduler.boundaries", len(half_widths))
         rec.count("scheduler.trials_committed", len(records))

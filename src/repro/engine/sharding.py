@@ -44,11 +44,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import telemetry
 from ..errors import ValidationError
-from .campaign import CampaignResult, _execute_payloads
+from .campaign import CampaignResult, _run_trials
 
 __all__ = [
     "ShardSpec",
@@ -185,12 +183,6 @@ def run_campaign_shard(
     Parameters match ``run_monte_carlo`` plus ``shard``.
     """
     start, stop = shard_bounds(n_trials, shard)
-    kwargs = dict(trial_kwargs or {})
-    # Spawn the *full* child list and slice: SeedSequence.spawn keys
-    # children by index alone, so shard-local trial i is seeded exactly
-    # like single-host trial i.
-    children = np.random.SeedSequence(master_seed).spawn(n_trials)
-    payloads = [(trial_fn, i, children[i], kwargs) for i in range(start, stop)]
     rec = telemetry.current()
     with rec.span(
         "shard",
@@ -200,7 +192,15 @@ def run_campaign_shard(
         n_trials=int(n_trials),
         n_workers=int(n_workers),
     ):
-        records = _execute_payloads(payloads, n_workers, mp_context, traced=rec.active)
+        records = _run_trials(
+            trial_fn,
+            n_trials,
+            range(start, stop),
+            master_seed=master_seed,
+            n_workers=n_workers,
+            trial_kwargs=trial_kwargs,
+            mp_context=mp_context,
+        )
     rec.count("engine.shard.trials", len(records))
     return ShardCampaignResult(
         master_seed=int(master_seed),

@@ -523,7 +523,7 @@ class UnsortedFsIterationRule(LintRule):
 # ---------------------------------------------------------------------------
 
 _POOL_METHODS = {"map", "imap", "imap_unordered", "starmap", "apply_async", "submit"}
-_DISPATCH_FUNCTIONS = {"run_monte_carlo", "run_adaptive"}
+_DISPATCH_FUNCTIONS = {"run_monte_carlo", "run_adaptive", "run_campaign_shard"}
 
 
 @register

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from repro.engine import CampaignResult, TrialRecord, run_monte_carlo
-from repro.engine.trials import dv_hop_trial, lss_trial, multilateration_trial
 from repro.errors import ValidationError
+from repro.scenarios import get_scenario
+from repro.scenarios.trial import scenario_trial
 
-#: Small, fast trial configuration shared by the campaign tests.
-SMALL_TRIAL = dict(n_nodes=16, n_anchors=6, width_m=40.0, height_m=40.0)
+#: Small, fast multilateration spec shared by the campaign tests.
+SMALL_SPEC = get_scenario("uniform-multilateration").with_overrides(
+    **{
+        "deployment.n_nodes": 16,
+        "deployment.width_m": 40.0,
+        "deployment.height_m": 40.0,
+        "anchors.count": 6,
+    }
+)
 
 
 def _seed_echo_trial(rng):
@@ -65,18 +73,18 @@ class TestWorkerDeterminism:
     def test_parallel_matches_serial(self):
         """n_workers=1 and n_workers=4 yield identical statistics."""
         serial = run_monte_carlo(
-            multilateration_trial,
+            scenario_trial,
             8,
             master_seed=2005,
             n_workers=1,
-            trial_kwargs=SMALL_TRIAL,
+            trial_kwargs={"spec": SMALL_SPEC},
         )
         parallel = run_monte_carlo(
-            multilateration_trial,
+            scenario_trial,
             8,
             master_seed=2005,
             n_workers=4,
-            trial_kwargs=SMALL_TRIAL,
+            trial_kwargs={"spec": SMALL_SPEC},
         )
         assert [r.index for r in parallel.records] == [r.index for r in serial.records]
         for name in serial.metric_names:
@@ -130,58 +138,36 @@ class TestAggregation:
         assert "3 trials" in text and "draw" in text
 
 
-class TestBuiltinTrials:
-    def test_multilateration_trial_metrics(self):
-        rng = np.random.default_rng(8)
-        metrics = multilateration_trial(rng, **SMALL_TRIAL)
-        assert set(metrics) == {
-            "fraction_localized",
-            "mean_error_m",
-            "median_error_m",
-            "average_anchors_per_node",
-        }
-        assert 0.0 <= metrics["fraction_localized"] <= 1.0
-
-    def test_lss_trial_metrics(self):
-        rng = np.random.default_rng(8)
-        metrics = lss_trial(rng, n_nodes=12, restarts=2, max_epochs=300)
-        assert metrics["mean_error_m"] >= 0.0
-        assert metrics["epochs_run"] > 0
-
-    def test_dv_hop_trial_metrics(self):
-        rng = np.random.default_rng(8)
-        metrics = dv_hop_trial(rng, n_nodes=20, n_anchors=6)
-        assert 0.0 <= metrics["fraction_localized"] <= 1.0
-
+class TestScenarioTrialCampaigns:
     def test_all_anchor_trial_yields_nan_instead_of_crashing(self):
-        # n_anchors == n_nodes is a degenerate draw: no non-anchors to
+        # Every node an anchor is a degenerate draw: no non-anchors to
         # localize.  The trial must report nan metrics (excluded from
         # aggregates), not divide by zero and kill the campaign.
-        rng = np.random.default_rng(8)
-        metrics = multilateration_trial(rng, n_nodes=8, n_anchors=8, width_m=40.0, height_m=40.0)
+        spec = SMALL_SPEC.with_overrides(
+            **{"deployment.n_nodes": 8, "anchors.count": 8}
+        )
+        metrics = scenario_trial(np.random.default_rng(8), spec=spec)
         assert np.isnan(metrics["fraction_localized"])
         result = run_monte_carlo(
-            multilateration_trial,
-            2,
-            master_seed=3,
-            trial_kwargs=dict(n_nodes=8, n_anchors=8, width_m=40.0, height_m=40.0),
+            scenario_trial, 2, master_seed=3, trial_kwargs={"spec": spec}
         )
         assert result.aggregate()["fraction_localized"]["n"] == 0.0
 
     @pytest.mark.slow
     def test_campaign_over_lss_trials(self):
+        spec = get_scenario("town-lss").with_overrides(
+            **{
+                "deployment.kind": "uniform",
+                "deployment.n_nodes": 14,
+                "deployment.width_m": 35.0,
+                "deployment.height_m": 35.0,
+                "deployment.min_separation_m": 5.0,
+                "solver.restarts": 3,
+                "solver.max_epochs": 400,
+            }
+        )
         result = run_monte_carlo(
-            lss_trial,
-            4,
-            master_seed=2005,
-            trial_kwargs=dict(
-                n_nodes=14,
-                width_m=35.0,
-                height_m=35.0,
-                min_separation_m=5.0,
-                restarts=3,
-                max_epochs=400,
-            ),
+            scenario_trial, 4, master_seed=2005, trial_kwargs={"spec": spec}
         )
         agg = result.aggregate()
         assert agg["mean_error_m"]["n"] == 4.0

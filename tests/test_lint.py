@@ -219,8 +219,15 @@ class TestRPL005PicklablePoolCallables:
         )
         assert codes(check(bad)) == ["RPL005"]
 
-    def test_flags_lambda_trial_fn_keyword(self):
-        bad = "r = run_adaptive(spec, trial_fn=lambda i: i)\n"
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "r = run_adaptive(spec, trial_fn=lambda i: i)\n",
+            "r = run_campaign_shard(lambda rng: {}, 8, shard=s)\n",
+        ],
+        ids=["adaptive-trial-fn-keyword", "shard-positional"],
+    )
+    def test_flags_lambda_handed_to_dispatch(self, bad):
         assert codes(check(bad)) == ["RPL005"]
 
     def test_module_level_function_is_clean(self):
@@ -233,7 +240,7 @@ class TestRPL005PicklablePoolCallables:
         assert codes(check(good)) == []
 
     def test_ifexp_selecting_module_level_functions_is_clean(self):
-        # The scheduler's `mapper = _traced if traced else _plain` idiom.
+        # The campaign executor's `mapper = _traced if traced else _plain` idiom.
         good = (
             "def _plain(i):\n"
             "    return i\n"

@@ -18,7 +18,13 @@ import math
 import pytest
 
 from repro import telemetry
-from repro.engine import ConfidenceStop, run_adaptive, run_monte_carlo
+from repro.engine import (
+    ConfidenceStop,
+    ShardSpec,
+    run_adaptive,
+    run_campaign_shard,
+    run_monte_carlo,
+)
 from repro.engine.campaign import CampaignResult, TrialRecord
 from repro.errors import ValidationError
 from repro.scenarios import (
@@ -171,17 +177,29 @@ class TestTraceRecorder:
 
 
 class TestWorkerCountInvariance:
-    def _traced_run(self, n_workers):
+    RUNNERS = {
+        "fixed": lambda n_workers: run_monte_carlo(
+            _echo_trial, 6, master_seed=11, n_workers=n_workers
+        ),
+        "shard": lambda n_workers: run_campaign_shard(
+            _echo_trial,
+            9,
+            shard=ShardSpec.parse("2/3"),
+            master_seed=11,
+            n_workers=n_workers,
+        ),
+    }
+
+    def _traced_run(self, mode, n_workers):
         with telemetry.recording() as rec:
-            result = run_monte_carlo(
-                _echo_trial, 6, master_seed=11, n_workers=n_workers
-            )
+            result = self.RUNNERS[mode](n_workers)
         return result, rec
 
     @pytest.mark.slow
-    def test_fixed_campaign_trace_is_worker_count_independent(self):
-        res1, rec1 = self._traced_run(1)
-        res2, rec2 = self._traced_run(2)
+    @pytest.mark.parametrize("mode", ["fixed", "shard"])
+    def test_campaign_trace_is_worker_count_independent(self, mode):
+        res1, rec1 = self._traced_run(mode, 1)
+        res2, rec2 = self._traced_run(mode, 2)
         assert [r.metrics for r in res1.records] == [
             r.metrics for r in res2.records
         ]
@@ -191,14 +209,21 @@ class TestWorkerCountInvariance:
         )
 
     @pytest.mark.slow
-    def test_adaptive_campaign_trace_is_worker_count_independent(self):
+    @pytest.mark.parametrize(
+        "max_trials, tolerance",
+        [(12, 0.5), (10, 1e-9)],
+        ids=["converges", "ragged-last-chunk"],
+    )
+    def test_adaptive_campaign_trace_is_worker_count_independent(
+        self, max_trials, tolerance
+    ):
         def run(n_workers):
             with telemetry.recording() as rec:
                 result = run_adaptive(
                     _tight_trial,
-                    12,
+                    max_trials,
                     stopping=ConfidenceStop(
-                        metric="x", tolerance=0.5, min_trials=4
+                        metric="x", tolerance=tolerance, min_trials=4
                     ),
                     master_seed=5,
                     n_workers=n_workers,
@@ -211,7 +236,12 @@ class TestWorkerCountInvariance:
         assert [r.metrics for r in res1.records] == [
             r.metrics for r in res2.records
         ]
+        assert res1.half_width_trace == res2.half_width_trace
         assert rec1.counters == rec2.counters
+        chunks1 = [s["path"] for s in rec1.spans if s["name"] == "chunk"]
+        chunks2 = [s["path"] for s in rec2.spans if s["name"] == "chunk"]
+        assert chunks1 == chunks2
+        assert len(chunks1) == len(res1.half_width_trace)
         boundaries1 = [e for e in rec1.events if e["name"] == "scheduler.boundary"]
         boundaries2 = [e for e in rec2.events if e["name"] == "scheduler.boundary"]
         assert [b["fields"] for b in boundaries1] == [
