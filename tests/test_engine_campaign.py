@@ -9,7 +9,16 @@ or the order workers finish in.
 import numpy as np
 import pytest
 
-from repro.engine import CampaignResult, TrialRecord, run_monte_carlo
+from repro.engine import (
+    CampaignResult,
+    ConfidenceStop,
+    ShardSpec,
+    TrialRecord,
+    run_adaptive,
+    run_campaign_shard,
+    run_monte_carlo,
+)
+from repro.engine.campaign import _run_trials
 from repro.errors import ValidationError
 from repro.scenarios import get_scenario
 from repro.scenarios.trial import scenario_trial
@@ -92,6 +101,55 @@ class TestWorkerDeterminism:
                 serial.metric(name), parallel.metric(name), equal_nan=True
             ), name
         assert serial.aggregate() == parallel.aggregate()
+
+
+class TestTrialExecutor:
+    """Edges of the one executor behind fixed, sharded and adaptive runs."""
+
+    @staticmethod
+    def _run(n_workers, on_boundary, n_trials=10, chunk_size=4):
+        return _run_trials(
+            _seed_echo_trial,
+            n_trials,
+            range(n_trials),
+            master_seed=11,
+            n_workers=n_workers,
+            trial_kwargs=None,
+            mp_context=None,
+            on_boundary=on_boundary,
+            chunk_size=chunk_size,
+        )
+
+    def test_boundary_callback_sees_every_chunk_and_ragged_tail(self):
+        seen = []
+        records = self._run(1, lambda committed: seen.append(len(committed)))
+        assert seen == [4, 8, 10]
+        assert [r.index for r in records] == list(range(10))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_true_return_stops_at_that_boundary(self, n_workers):
+        records = self._run(n_workers, lambda committed: len(committed) >= 8)
+        fixed = run_monte_carlo(_seed_echo_trial, 10, master_seed=11)
+        assert tuple(records) == fixed.records[:8]
+
+    def test_pool_chunking_keeps_index_order(self):
+        # 24 trials over 2 workers dispatch in chunks of 3; commits must
+        # still come back in index order, equal to the inline run.
+        serial = run_monte_carlo(_seed_echo_trial, 24, master_seed=9)
+        pooled = run_monte_carlo(_seed_echo_trial, 24, master_seed=9, n_workers=2)
+        assert pooled.records == serial.records
+
+    def test_every_entry_point_rejects_zero_workers(self):
+        with pytest.raises(ValidationError):
+            run_monte_carlo(_seed_echo_trial, 4, n_workers=0)
+        with pytest.raises(ValidationError):
+            run_campaign_shard(
+                _seed_echo_trial, 4, shard=ShardSpec(index=0, n_shards=2), n_workers=0
+            )
+        with pytest.raises(ValidationError):
+            run_adaptive(
+                _seed_echo_trial, 4, stopping=ConfidenceStop(metric="draw"), n_workers=0
+            )
 
 
 class TestAggregation:
