@@ -785,10 +785,13 @@ def _cmd_run(args, run_parser) -> int:
             recorder.set_manifest(
                 argv=["run", args.id], code_version=default_code_version()
             )
-            code = _cmd_run_inner(args, run_parser)
-            written = recorder.write(trace_path)
-        print(f"trace: {written} records -> {trace_path}")
-        return code
+            try:
+                return _cmd_run_inner(args, run_parser)
+            finally:
+                # Also on an exception or Ctrl-C: the partial trace shows
+                # where the run was when it stopped.
+                written = recorder.write(trace_path)
+                print(f"trace: {written} records -> {trace_path}")
 
 
 def _cmd_run_inner(args, run_parser) -> int:

@@ -35,6 +35,16 @@ equivalence tests in ``tests/test_engine_batch.py`` and
 from the scalar one only by floating-point reduction error, never by
 algorithm.
 
+Each layout has one LSS objective implementation in two halves: a
+*geometry* helper gathers the endpoints of ``[edges; constraint
+pairs]`` in one pass, takes one ``hypot``, and returns the objective
+with the cached ``(diff, comp)``; a *gradient-from-geometry* helper
+scatters the terms with ``np.bincount`` (same per-element order as a
+chain of ``np.add.at``).  The public kernels and both descents share
+them.  A descent therefore computes pair geometry once per epoch: an
+accepted candidate *is* the next configuration, so its gradient comes
+from the candidate's geometry, and a rejected one keeps its gradient.
+
 Every public kernel takes a ``backend`` argument (a name, an
 :class:`~repro.engine.backend.ArrayBackend`, or ``None`` for the
 process default).  On the default NumPy backend the kernel body below
@@ -564,27 +574,104 @@ def batch_lss_error(
         return xp_kernels.lss_error_xp(
             be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
         )
-    return _lss_error_t(pts.transpose(1, 0, 2), edges, constraint_pairs,
-                        min_spacing_m, constraint_weight)
+    pair_i, pair_j = _dense_endpoints(edges, constraint_pairs, min_spacing_m)
+    return _lss_geometry_t(pts.transpose(1, 0, 2), pair_i, pair_j, edges,
+                           min_spacing_m, constraint_weight)[0]
 
 
-def _lss_error_t(
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum ``rows[k]`` into row ``index[k]`` of a zero array, in ``k`` order.
+
+    One ``np.bincount`` over flat element indices: each output element
+    accumulates its terms sequentially from ``0.0`` in the order they
+    appear, exactly as a chain of ``np.add.at`` calls over the same
+    concatenated index would, and substantially faster.
+    """
+    width = math.prod(rows.shape[1:])
+    # Column by column (a long inner axis is far cheaper to build);
+    # each element's own terms keep their order either way.
+    flat = (index * width + np.arange(width)[:, None]).ravel()
+    columns = rows.reshape(index.shape[0], width).T.ravel()
+    out = np.bincount(flat, weights=columns, minlength=n_rows * width)
+    return out.reshape((n_rows,) + rows.shape[1:])
+
+
+def _dense_endpoints(
+    edges, constraint_pairs: Optional[np.ndarray], min_spacing_m: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoint vectors of ``[edges; constraint pairs]`` (constraints only
+    when the soft constraint is on), gathered together once per epoch."""
+    pairs = edges.pairs
+    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
+        pairs = np.concatenate([pairs, constraint_pairs])
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _lss_geometry_t(
     pts_t: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
     edges,
-    constraint_pairs: Optional[np.ndarray],
+    min_spacing_m: Optional[float],
+    constraint_weight: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective on the node-major ``(n_nodes, B, 2)`` layout, plus the
+    pair geometry ``(diff, comp)`` it was computed from.
+
+    One gather and one ``hypot`` cover edges (rows ``[:E]``) and
+    constraint pairs (rows ``[E:]``); each term still reduces over its
+    own slice, so the objective's summation order is per-term.
+    """
+    diff = pts_t.take(pair_i, axis=0) - pts_t.take(pair_j, axis=0)
+    comp = np.hypot(diff[..., 0], diff[..., 1])
+    n_edges = edges.pairs.shape[0]
+    value = np.add.reduce(
+        edges.weights[:, None] * (comp[:n_edges] - edges.distances[:, None]) ** 2, axis=0
+    )
+    if comp.shape[0] > n_edges:
+        violation = np.minimum(comp[n_edges:], min_spacing_m) - min_spacing_m
+        value = value + constraint_weight * np.add.reduce(violation**2, axis=0)
+    return value, diff, comp
+
+
+def _lss_gradient_geometry_t(
+    diff: np.ndarray,
+    comp: np.ndarray,
+    pair_i: np.ndarray,
+    pair_j: np.ndarray,
+    n_nodes: int,
+    edges,
     min_spacing_m: Optional[float],
     constraint_weight: float,
 ) -> np.ndarray:
-    """Objective on the internal node-major ``(n_nodes, B, 2)`` layout."""
-    diff = pts_t[edges.pairs[:, 0]] - pts_t[edges.pairs[:, 1]]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    value = np.sum(edges.weights[:, None] * (comp - edges.distances[:, None]) ** 2, axis=0)
-    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
-        cdiff = pts_t[constraint_pairs[:, 0]] - pts_t[constraint_pairs[:, 1]]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
-        value = value + constraint_weight * np.sum(violation**2, axis=0)
-    return value
+    """Gradient on the node-major layout from :func:`_lss_geometry_t`'s
+    cached geometry.
+
+    Edge terms then constraint terms scatter through one
+    :func:`_scatter_rows` over ``[i, j, ci, cj]``.  Only constraint
+    pairs violated in some configuration are kept: every dropped term is
+    an exact zero, so the sums are unchanged.
+    """
+    n_edges = edges.pairs.shape[0]
+    ecomp = comp[:n_edges]
+    safe = np.maximum(ecomp, 1e-12)
+    coeff = (2.0 * edges.weights[:, None]) * (ecomp - edges.distances[:, None]) / safe
+    contrib = coeff[..., None] * diff[:n_edges]
+    index = [pair_i[:n_edges], pair_j[:n_edges]]
+    rows = [contrib, -contrib]
+    if comp.shape[0] > n_edges:
+        violated = np.flatnonzero((comp[n_edges:] < min_spacing_m).any(axis=1))
+        if violated.size:
+            violated += n_edges
+            ccomp = comp.take(violated, axis=0)
+            vcomp = np.maximum(ccomp, 1e-12)
+            vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
+            # Only violated pairs (estimate closer than d_min) exert force.
+            vcoeff = np.where(ccomp < min_spacing_m, vcoeff, 0.0)
+            vcontrib = vcoeff[..., None] * diff.take(violated, axis=0)
+            index += [pair_i.take(violated), pair_j.take(violated)]
+            rows += [vcontrib, -vcontrib]
+    return _scatter_rows(np.concatenate(index), np.concatenate(rows), n_nodes)
 
 
 def batch_lss_gradient(
@@ -608,44 +695,12 @@ def batch_lss_gradient(
         return xp_kernels.lss_gradient_xp(
             be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
         )
-    grad_t = _lss_gradient_t(pts.transpose(1, 0, 2), edges, constraint_pairs,
-                             min_spacing_m, constraint_weight)
+    pair_i, pair_j = _dense_endpoints(edges, constraint_pairs, min_spacing_m)
+    _, diff, comp = _lss_geometry_t(pts.transpose(1, 0, 2), pair_i, pair_j, edges,
+                                    min_spacing_m, constraint_weight)
+    grad_t = _lss_gradient_geometry_t(diff, comp, pair_i, pair_j, pts.shape[1], edges,
+                                      min_spacing_m, constraint_weight)
     return grad_t.transpose(1, 0, 2)
-
-
-def _lss_gradient_t(
-    pts_t: np.ndarray,
-    edges,
-    constraint_pairs: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the internal node-major ``(n_nodes, B, 2)`` layout."""
-    grad_t = np.zeros(pts_t.shape)
-
-    i_idx = edges.pairs[:, 0]
-    j_idx = edges.pairs[:, 1]
-    diff = pts_t[i_idx] - pts_t[j_idx]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    safe = np.maximum(comp, 1e-12)
-    coeff = (2.0 * edges.weights[:, None]) * (comp - edges.distances[:, None]) / safe
-    contrib = coeff[..., None] * diff
-    np.add.at(grad_t, i_idx, contrib)
-    np.add.at(grad_t, j_idx, -contrib)
-
-    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
-        ci = constraint_pairs[:, 0]
-        cj = constraint_pairs[:, 1]
-        cdiff = pts_t[ci] - pts_t[cj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        vcomp = np.maximum(ccomp, 1e-12)
-        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
-        # Only violated pairs (estimate closer than d_min) exert force.
-        vcoeff = np.where(ccomp < min_spacing_m, vcoeff, 0.0)
-        vcontrib = vcoeff[..., None] * cdiff
-        np.add.at(grad_t, ci, vcontrib)
-        np.add.at(grad_t, cj, -vcontrib)
-    return grad_t
 
 
 def batch_lss_descend(
@@ -702,14 +757,26 @@ def batch_lss_descend(
         )
         _count_kernel("lss", pts.shape[0], epochs)
         return pts, current, converged
-    # Node-major (n_nodes, B, 2) layout: fancy-indexing edge endpoints
-    # and np.add.at scatter both address the leading axis directly.
+    # Node-major (n_nodes, B, 2) layout: the pair-endpoint gather and the
+    # bincount scatter both address the leading axis directly.
     pts_t = np.ascontiguousarray(
         np.asarray(configs, dtype=float).transpose(1, 0, 2)
     )
-    n_batch = pts_t.shape[1]
+    n_nodes, n_batch = pts_t.shape[:2]
     frozen = ~free_mask
-    current = _lss_error_t(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight)
+    pair_i, pair_j = _dense_endpoints(edges, constraint_pairs, min_spacing_m)
+    terms = (edges, min_spacing_m, constraint_weight)
+
+    def gradient(diff, comp):
+        grad = _lss_gradient_geometry_t(diff, comp, pair_i, pair_j, n_nodes, *terms)
+        grad[frozen] = 0.0
+        return grad
+
+    # Each epoch evaluates the candidate's geometry once; an accepted
+    # candidate *is* the next pts_t, so its gradient comes from that
+    # geometry, and a rejected one leaves pts_t (and its gradient) as is.
+    current, diff, comp = _lss_geometry_t(pts_t, pair_i, pair_j, *terms)
+    grad = gradient(diff, comp)
     alpha = np.full(n_batch, float(step_size))
     velocity = np.zeros_like(pts_t)
     stall = np.zeros(n_batch, dtype=np.int64)
@@ -719,17 +786,17 @@ def batch_lss_descend(
 
     for _ in range(max_epochs):
         epochs_run += 1
-        grad = _lss_gradient_t(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight)
-        grad[frozen] = 0.0
         velocity_new = momentum * velocity - alpha[None, :, None] * grad
         candidate = pts_t + velocity_new
-        value = _lss_error_t(candidate, edges, constraint_pairs, min_spacing_m, constraint_weight)
+        value, diff, comp = _lss_geometry_t(candidate, pair_i, pair_j, *terms)
         improvement = (current - value) / np.maximum(current, 1e-12)
         improved = active & (value < current)
         rejected = active & ~improved
 
         np.copyto(pts_t, candidate, where=improved[None, :, None])
         np.copyto(current, value, where=improved)
+        if improved.any():
+            np.copyto(grad, gradient(diff, comp), where=improved[None, :, None])
         # Overshoot kills the momentum (scalar rule); frozen problems'
         # velocities are junk but can never touch pts_t again.
         np.copyto(velocity_new, 0.0, where=rejected[None, :, None])
@@ -778,76 +845,119 @@ def _flat_endpoints(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten ``(B, E, 2)`` endpoint pairs into ``(B*N)``-space indices.
 
-    Gathering through one flat advanced index on the ``(B*N, 2)`` view
-    of the configuration stack is measurably cheaper per epoch than a
-    broadcasted two-axis fancy index, and the same flat indices drive
-    the bincount scatter.
+    Gathering through one flat ``take`` on the ``(B*N, 2)`` view of the
+    configuration stack is far cheaper per epoch than a broadcasted
+    two-axis fancy index, and the same flat indices drive the bincount
+    scatter.
     """
     base = np.arange(index_pairs.shape[0], dtype=np.int64)[:, None] * n_nodes
     return base + index_pairs[..., 0], base + index_pairs[..., 1]
 
 
-def _lss_error_flat(
+def _padded_constraints(constraint_pairs, constraint_valid, min_spacing_m):
+    """``(pairs, mask)`` of the padded soft constraint, or ``(None, None)``
+    when it is off or empty."""
+    if min_spacing_m is None or constraint_pairs is None:
+        return None, None
+    constraint_pairs = np.asarray(constraint_pairs)
+    if not constraint_pairs.size:
+        return None, None
+    return constraint_pairs, np.asarray(constraint_valid)
+
+
+def _padded_endpoints(
+    pairs: np.ndarray, constraint_pairs: Optional[np.ndarray], n_nodes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat endpoints of ``[edges | constraint pairs]``, shape (B, E + C)."""
+    if constraint_pairs is not None:
+        pairs = np.concatenate([pairs, constraint_pairs], axis=1)
+    return _flat_endpoints(pairs, n_nodes)
+
+
+def _lss_geometry_flat(
     flat_pts: np.ndarray,
     fi: np.ndarray,
     fj: np.ndarray,
     dists: np.ndarray,
     weights: np.ndarray,
-    cfi: Optional[np.ndarray],
-    cfj: Optional[np.ndarray],
     constraint_valid: Optional[np.ndarray],
     min_spacing_m: Optional[float],
     constraint_weight: float,
-) -> np.ndarray:
-    """Objective on the flat ``(B*N, 2)`` view; ``fi``/``fj`` are (B, E)."""
-    diff = flat_pts[fi] - flat_pts[fj]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective on the flat ``(B*N, 2)`` view, plus the pair geometry
+    ``(diff, comp)`` it was computed from.
+
+    ``fi``/``fj`` come from :func:`_padded_endpoints`: columns ``[:E]``
+    are edges and ``[E:]`` constraint pairs, gathered in one pass and
+    reduced per term over their own slice.
+    """
+    diff = flat_pts.take(fi, axis=0) - flat_pts.take(fj, axis=0)
     comp = np.hypot(diff[..., 0], diff[..., 1])
-    value = np.sum(weights * (comp - dists) ** 2, axis=1)
-    if cfi is not None:
-        cdiff = flat_pts[cfi] - flat_pts[cfj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
+    n_edges = dists.shape[1]
+    value = np.add.reduce(weights * (comp[:, :n_edges] - dists) ** 2, axis=1)
+    if constraint_valid is not None:
+        violation = np.minimum(comp[:, n_edges:], min_spacing_m) - min_spacing_m
         # Padded constraint slots reference node 0 twice (distance 0 =
         # maximal "violation"), so they MUST be masked out explicitly.
         violation = np.where(constraint_valid, violation, 0.0)
-        value = value + constraint_weight * np.sum(violation**2, axis=1)
-    return value
+        value = value + constraint_weight * np.add.reduce(violation**2, axis=1)
+    return value, diff, comp
 
 
-def _lss_error_padded(
-    pts: np.ndarray,
-    pairs: np.ndarray,
+def _lss_gradient_geometry_flat(
+    diff: np.ndarray,
+    comp: np.ndarray,
+    fi: np.ndarray,
+    fj: np.ndarray,
+    n_rows: int,
     dists: np.ndarray,
     weights: np.ndarray,
-    constraint_pairs: Optional[np.ndarray],
     constraint_valid: Optional[np.ndarray],
     min_spacing_m: Optional[float],
     constraint_weight: float,
 ) -> np.ndarray:
-    """Objective on the padded batch-major ``(B, N, 2)`` layout."""
-    n_nodes = pts.shape[1]
-    fi, fj = _flat_endpoints(pairs, n_nodes)
-    cfi = cfj = None
-    if (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and constraint_pairs.size
-    ):
-        cfi, cfj = _flat_endpoints(constraint_pairs, n_nodes)
-    else:
-        constraint_valid = None
-    return _lss_error_flat(
-        np.ascontiguousarray(pts).reshape(-1, 2),
-        fi,
-        fj,
-        dists,
-        weights,
-        cfi,
-        cfj,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
+    """Gradient on the flat ``(B*N, 2)`` view from
+    :func:`_lss_geometry_flat`'s cached geometry.
+
+    Edge and constraint terms are scattered separately and summed;
+    only violated real constraint slots are scattered, since every
+    other slot's term is an exact zero.
+    """
+    n_edges = dists.shape[1]
+    ecomp = comp[:, :n_edges]
+    safe = np.maximum(ecomp, 1e-12)
+    coeff = (2.0 * weights) * (ecomp - dists) / safe
+    contrib = (coeff[..., None] * diff[:, :n_edges]).reshape(-1, 2)
+    index = np.concatenate([fi[:, :n_edges].ravel(), fj[:, :n_edges].ravel()])
+    grad = _scatter_rows(index, np.concatenate([contrib, -contrib]), n_rows)
+
+    if constraint_valid is not None:
+        ccomp = comp[:, n_edges:]
+        hit = (ccomp < min_spacing_m) & constraint_valid
+        if hit.any():
+            vcomp = np.maximum(ccomp[hit], 1e-12)
+            vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
+            vcontrib = vcoeff[:, None] * diff[:, n_edges:][hit]
+            index = np.concatenate([fi[:, n_edges:][hit], fj[:, n_edges:][hit]])
+            grad += _scatter_rows(index, np.concatenate([vcontrib, -vcontrib]), n_rows)
+    return grad
+
+
+def _padded_geometry(
+    pts, pairs, dists, weights, constraint_pairs, constraint_valid,
+    min_spacing_m, constraint_weight,
+):
+    """Geometry of a public padded kernel's ``(B, N, 2)`` stack; returns
+    ``(value, diff, comp, fi, fj, constraint_valid)``."""
+    constraint_pairs, constraint_valid = _padded_constraints(
+        constraint_pairs, constraint_valid, min_spacing_m
     )
+    fi, fj = _padded_endpoints(pairs, constraint_pairs, pts.shape[1])
+    value, diff, comp = _lss_geometry_flat(
+        np.ascontiguousarray(pts).reshape(-1, 2), fi, fj, dists, weights,
+        constraint_valid, min_spacing_m, constraint_weight,
+    )
+    return value, diff, comp, fi, fj, constraint_valid
 
 
 def batch_lss_error_padded(
@@ -895,117 +1005,11 @@ def batch_lss_error_padded(
             np.asarray(weights, dtype=float),
             constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
         )
-    return _lss_error_padded(
-        pts,
-        np.asarray(pairs),
-        np.asarray(dists, dtype=float),
-        np.asarray(weights, dtype=float),
-        constraint_pairs,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
-    )
-
-
-def _scatter_flat(
-    flat_grad: np.ndarray,
-    scatter_idx: np.ndarray,
-    contrib: np.ndarray,
-) -> None:
-    """Accumulate ``[+contrib, -contrib]`` rows at flat *scatter_idx*.
-
-    ``scatter_idx`` is the precomputed concatenation of the ``i`` and
-    ``j`` flat endpoints; a ``np.bincount`` per coordinate is
-    substantially faster than ``np.add.at`` on the many-small-problems
-    stacks this layout exists for.
-    """
-    size = flat_grad.shape[0]
-    flat_contrib = contrib.reshape(-1, 2)
-    signed_x = np.concatenate([flat_contrib[:, 0], -flat_contrib[:, 0]])
-    signed_y = np.concatenate([flat_contrib[:, 1], -flat_contrib[:, 1]])
-    flat_grad[:, 0] += np.bincount(scatter_idx, weights=signed_x, minlength=size)
-    flat_grad[:, 1] += np.bincount(scatter_idx, weights=signed_y, minlength=size)
-
-
-def _lss_gradient_flat(
-    flat_pts: np.ndarray,
-    fi: np.ndarray,
-    fj: np.ndarray,
-    edge_scatter: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    cfi: Optional[np.ndarray],
-    cfj: Optional[np.ndarray],
-    constraint_scatter: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the flat ``(B*N, 2)`` view.
-
-    ``edge_scatter``/``constraint_scatter`` are the precomputed
-    ``concatenate([fi.ravel(), fj.ravel()])`` index vectors (rebuilt
-    only when the working batch is compacted).
-    """
-    grad = np.zeros_like(flat_pts)
-    diff = flat_pts[fi] - flat_pts[fj]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    safe = np.maximum(comp, 1e-12)
-    coeff = (2.0 * weights) * (comp - dists) / safe
-    _scatter_flat(grad, edge_scatter, coeff[..., None] * diff)
-
-    if cfi is not None:
-        cdiff = flat_pts[cfi] - flat_pts[cfj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        vcomp = np.maximum(ccomp, 1e-12)
-        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
-        # Only violated real pairs exert force; padded slots are masked.
-        active = (ccomp < min_spacing_m) & constraint_valid
-        vcoeff = np.where(active, vcoeff, 0.0)
-        _scatter_flat(grad, constraint_scatter, vcoeff[..., None] * cdiff)
-    return grad
-
-
-def _lss_gradient_padded(
-    pts: np.ndarray,
-    pairs: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    constraint_pairs: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the padded batch-major ``(B, N, 2)`` layout."""
-    shape = pts.shape
-    n_nodes = shape[1]
-    fi, fj = _flat_endpoints(pairs, n_nodes)
-    edge_scatter = np.concatenate([fi.ravel(), fj.ravel()])
-    cfi = cfj = constraint_scatter = None
-    if (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and constraint_pairs.size
-    ):
-        cfi, cfj = _flat_endpoints(constraint_pairs, n_nodes)
-        constraint_scatter = np.concatenate([cfi.ravel(), cfj.ravel()])
-    else:
-        constraint_valid = None
-    flat_grad = _lss_gradient_flat(
-        np.ascontiguousarray(pts).reshape(-1, 2),
-        fi,
-        fj,
-        edge_scatter,
-        dists,
-        weights,
-        cfi,
-        cfj,
-        constraint_scatter,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
-    )
-    return flat_grad.reshape(shape)
+    return _padded_geometry(
+        pts, np.asarray(pairs), np.asarray(dists, dtype=float),
+        np.asarray(weights, dtype=float), constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight,
+    )[0]
 
 
 def batch_lss_gradient_padded(
@@ -1035,16 +1039,17 @@ def batch_lss_gradient_padded(
             np.asarray(weights, dtype=float),
             constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
         )
-    return _lss_gradient_padded(
-        pts,
-        np.asarray(pairs),
-        np.asarray(dists, dtype=float),
-        np.asarray(weights, dtype=float),
-        constraint_pairs,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
+    dists = np.asarray(dists, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    _, diff, comp, fi, fj, cvalid = _padded_geometry(
+        pts, np.asarray(pairs), dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight,
     )
+    flat_grad = _lss_gradient_geometry_flat(
+        diff, comp, fi, fj, pts.shape[0] * pts.shape[1], dists, weights, cvalid,
+        min_spacing_m, constraint_weight,
+    )
+    return flat_grad.reshape(pts.shape)
 
 
 def batch_lss_descend_padded(
@@ -1108,29 +1113,24 @@ def batch_lss_descend_padded(
         return pts_out, err_out, conv_out
 
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    has_constraints = (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and np.asarray(constraint_pairs).size
-    )
-    cpairs = np.asarray(constraint_pairs) if has_constraints else None
-    cvalid = np.asarray(constraint_valid) if has_constraints else None
+    cpairs, cvalid = _padded_constraints(constraint_pairs, constraint_valid, min_spacing_m)
+    terms = (min_spacing_m, constraint_weight)
+    fi, fj = _padded_endpoints(pairs, cpairs, n_nodes)
 
-    def flatten(pair_stack):
-        fi, fj = _flat_endpoints(pair_stack, n_nodes)
-        return fi, fj, np.concatenate([fi.ravel(), fj.ravel()])
+    def gradient(diff, comp):
+        # Reads the working stacks as compacted so far.
+        flat_grad = _lss_gradient_geometry_flat(
+            diff, comp, fi, fj, pts.shape[0] * n_nodes, dists, weights, cvalid, *terms
+        )
+        return flat_grad.reshape(pts.shape)
 
-    fi, fj, edge_scatter = flatten(pairs)
-    cfi = cfj = constraint_scatter = None
-    if has_constraints:
-        cfi, cfj, constraint_scatter = flatten(cpairs)
-
+    # One geometry pass per epoch, as in batch_lss_descend: accepted
+    # rows take the candidate's gradient, rejected rows keep theirs.
     remaining = np.arange(total)
-    flat_pts = pts.reshape(-1, 2)
-    current = _lss_error_flat(
-        flat_pts, fi, fj, dists, weights, cfi, cfj, cvalid,
-        min_spacing_m, constraint_weight,
+    current, diff, comp = _lss_geometry_flat(
+        pts.reshape(-1, 2), fi, fj, dists, weights, cvalid, *terms
     )
+    grad = gradient(diff, comp)
     err_out[:] = current
     alpha = np.full(total, float(step_size))
     velocity = np.zeros_like(pts)
@@ -1140,18 +1140,10 @@ def batch_lss_descend_padded(
 
     for _ in range(max_epochs):
         epochs_run += 1
-        flat_grad = _lss_gradient_flat(
-            flat_pts, fi, fj, edge_scatter, dists, weights,
-            cfi, cfj, constraint_scatter, cvalid,
-            min_spacing_m, constraint_weight,
-        )
-        velocity = momentum * velocity - alpha[:, None, None] * flat_grad.reshape(
-            pts.shape
-        )
+        velocity = momentum * velocity - alpha[:, None, None] * grad
         candidate = pts + velocity
-        value = _lss_error_flat(
-            candidate.reshape(-1, 2), fi, fj, dists, weights, cfi, cfj, cvalid,
-            min_spacing_m, constraint_weight,
+        value, diff, comp = _lss_geometry_flat(
+            candidate.reshape(-1, 2), fi, fj, dists, weights, cvalid, *terms
         )
         improvement = (current - value) / np.maximum(current, 1e-12)
         improved = value < current
@@ -1159,6 +1151,8 @@ def batch_lss_descend_padded(
 
         np.copyto(pts, candidate, where=improved[:, None, None])
         np.copyto(current, value, where=improved)
+        if improved.any():
+            np.copyto(grad, gradient(diff, comp), where=improved[:, None, None])
         # Overshoot kills the momentum (scalar rule).
         np.copyto(velocity, 0.0, where=rejected[:, None, None])
         alpha *= np.where(improved, 1.05, 0.5)
@@ -1181,16 +1175,15 @@ def batch_lss_descend_padded(
             current = current[keep]
             alpha = alpha[keep]
             velocity = np.ascontiguousarray(velocity[keep])
+            grad = np.ascontiguousarray(grad[keep])
             stall = stall[keep]
             pairs = pairs[keep]
             dists = dists[keep]
             weights = weights[keep]
-            fi, fj, edge_scatter = flatten(pairs)
-            if has_constraints:
+            if cpairs is not None:
                 cpairs = cpairs[keep]
                 cvalid = cvalid[keep]
-                cfi, cfj, constraint_scatter = flatten(cpairs)
-        flat_pts = pts.reshape(-1, 2)
+            fi, fj = _padded_endpoints(pairs, cpairs, n_nodes)
 
     pts_out[remaining] = pts
     err_out[remaining] = current

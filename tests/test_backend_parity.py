@@ -70,6 +70,10 @@ GOLDEN_PINS = {
     "batch_lss_error": "0d60c673a5fa6682b060bdbbb9bd10b239ea58d60a7e5b9bb2c42161e211b23c",
     "batch_lss_gradient": "5a59e8d691bcaa653d5778752a1334903f10c39ba88a808428db28986cb08af8",
     "batch_lss_descend": "bca7202ccac7fc6b027646e3145f9b56ca28c02a92e09884d4b121040bebaa40",
+    # Frozen later, on the commit before the descents began computing
+    # pair geometry once per epoch (the entries above cover no
+    # constraint pruning or mixed accept/reject row selection).
+    "batch_lss_descend_constrained": "e7224951c042d54109fc957dbf39c7b69d8c7271214b2d22632503f438ff1765",
     "batch_lss_error_padded": "64911a43bd5f65ff91b76b64a33d46faa5fa0384a66d6514e047f18c93ae1dd6",
     "batch_lss_gradient_padded": "69df36262dc245c209a3cb583c8ecd808e85b80b396be6b22b7fe698da2fc027",
     "batch_lss_descend_padded": "2217390fc11f4d46e35c0086ae817c108ce1312f8791733e55794ecff1e8156c",
@@ -115,6 +119,40 @@ def _run_shared_edge(backend=None):
         backend=backend,
     )
     return error, grad, pts, err, conv
+
+
+def _run_shared_edge_constrained(backend=None):
+    """The shared fixture with every unmeasured pair under the
+    min-spacing constraint: mixes violated and slack pairs, and epochs
+    where some configurations accept their step while others reject it
+    (node 0 stays pinned).  Returns the descent plus its error traces."""
+    edges, configs, free_mask = shared_edge_problem()
+    n_nodes = configs.shape[1]
+    measured = set(map(tuple, edges.pairs.tolist()))
+    constraint_pairs = np.array(
+        [
+            (i, j)
+            for i in range(n_nodes)
+            for j in range(i + 1, n_nodes)
+            if (i, j) not in measured
+        ],
+        dtype=np.int64,
+    )
+    traces = [[] for _ in range(configs.shape[0])]
+    pts, err, conv = batch_lss_descend(
+        configs,
+        edges,
+        constraint_pairs,
+        min_spacing_m=5.0,
+        constraint_weight=10.0,
+        step_size=0.02,
+        max_epochs=200,
+        tolerance=1e-7,
+        free_mask=free_mask,
+        traces=traces,
+        backend=backend,
+    )
+    return pts, err, conv, np.concatenate([np.asarray(t) for t in traces])
 
 
 def _run_padded(backend=None):
@@ -196,6 +234,13 @@ class TestGoldenPins:
         assert sha256_bytes(error) == GOLDEN_PINS["batch_lss_error"]
         assert sha256_bytes(grad) == GOLDEN_PINS["batch_lss_gradient"]
         assert sha256_bytes(pts, err, conv) == GOLDEN_PINS["batch_lss_descend"]
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_constrained_descent_pin(self, backend):
+        assert (
+            sha256_bytes(*_run_shared_edge_constrained(backend))
+            == GOLDEN_PINS["batch_lss_descend_constrained"]
+        )
 
     @pytest.mark.parametrize("backend", [None, "numpy"])
     def test_padded_pins(self, backend):

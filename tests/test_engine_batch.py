@@ -182,11 +182,13 @@ class TestLssParity:
         )
         batched = lss_localize(ranges, n, config=batched_cfg, rng=11)
         scalar = lss_localize(ranges, n, config=scalar_cfg, rng=11)
-        assert batched.error == pytest.approx(scalar.error, rel=1e-9)
-        assert batched.positions == pytest.approx(scalar.positions, abs=1e-7)
+        # Bit-for-bit: a batch of one follows the scalar round's
+        # reductions and scatter order exactly.
+        assert batched.error == scalar.error
+        np.testing.assert_array_equal(batched.positions, scalar.positions)
         assert batched.epochs_run == scalar.epochs_run
-        assert np.asarray(batched.error_trace) == pytest.approx(
-            np.asarray(scalar.error_trace), rel=1e-9
+        np.testing.assert_array_equal(
+            np.asarray(batched.error_trace), np.asarray(scalar.error_trace)
         )
 
     def test_batch_objective_and_gradient_match_scalar(self):
@@ -467,3 +469,168 @@ class TestPaddedLssKernels:
         )
         with pytest.raises(ValidationError):
             solve_local_lss_stack([bad], rng=0)
+
+
+class TestFusedLssGeometry:
+    """The descents' one-geometry-pass-per-epoch structure: exact
+    accumulation order against the two-pass ``np.add.at`` formula, and
+    a work count that keeps the second per-epoch evaluation out."""
+
+    MIN_SPACING = 6.0
+    WEIGHT = 10.0
+
+    def _dense_stack(self, n_batch):
+        from repro.core.lss import _constraint_pairs
+
+        rng = np.random.default_rng(9)
+        positions, ranges = _layout("random", rng)
+        n = len(positions)
+        edges = ranges.to_edge_list()
+        cpairs = _constraint_pairs(n, edges.pairs)
+        configs = rng.uniform(0, 60, (n_batch, n, 2))
+        return configs, edges, cpairs
+
+    def _dense_reference(self, configs, edges, cpairs):
+        """Edge pass then constraint pass, each ``np.add.at`` into one
+        node-major accumulator, every constraint pair included."""
+        pts_t = configs.transpose(1, 0, 2)
+        grad_t = np.zeros(pts_t.shape)
+        i, j = edges.pairs[:, 0], edges.pairs[:, 1]
+        diff = pts_t[i] - pts_t[j]
+        comp = np.hypot(diff[..., 0], diff[..., 1])
+        coeff = (2.0 * edges.weights[:, None]) * (comp - edges.distances[:, None]) / (
+            np.maximum(comp, 1e-12)
+        )
+        contrib = coeff[..., None] * diff
+        np.add.at(grad_t, i, contrib)
+        np.add.at(grad_t, j, -contrib)
+        ci, cj = cpairs[:, 0], cpairs[:, 1]
+        cdiff = pts_t[ci] - pts_t[cj]
+        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
+        vcomp = np.maximum(ccomp, 1e-12)
+        vcoeff = 2.0 * self.WEIGHT * (vcomp - self.MIN_SPACING) / vcomp
+        vcoeff = np.where(ccomp < self.MIN_SPACING, vcoeff, 0.0)
+        vcontrib = vcoeff[..., None] * cdiff
+        np.add.at(grad_t, ci, vcontrib)
+        np.add.at(grad_t, cj, -vcontrib)
+        return grad_t.transpose(1, 0, 2), ccomp < self.MIN_SPACING
+
+    @pytest.mark.parametrize("n_batch", [1, 4])
+    def test_dense_gradient_matches_two_pass_add_at(self, n_batch):
+        configs, edges, cpairs = self._dense_stack(n_batch)
+        expected, hit = self._dense_reference(configs, edges, cpairs)
+        # The stack mixes violated and slack pairs; with a batch, some
+        # pair is violated in one configuration and slack in another.
+        assert hit.any()
+        assert (~hit.any(axis=1)).any()
+        if n_batch > 1:
+            assert (hit.any(axis=1) & ~hit.all(axis=1)).any()
+        grads = batch_lss_gradient(
+            configs, edges, constraint_pairs=cpairs,
+            min_spacing_m=self.MIN_SPACING, constraint_weight=self.WEIGHT,
+        )
+        np.testing.assert_array_equal(grads, expected)
+
+    def test_padded_gradient_matches_two_pass_add_at(self):
+        from repro.engine.batch import batch_lss_gradient_padded
+
+        rng = np.random.default_rng(11)
+        problems = TestPaddedLssKernels._random_problems(rng, n_problems=6)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, self.MIN_SPACING
+        )
+        n_batch, n_nodes = pts.shape[:2]
+        flat = pts.reshape(-1, 2)
+        base = np.arange(n_batch)[:, None] * n_nodes
+
+        def scatter(index_pairs, coeff_of):
+            fi = (base + index_pairs[..., 0]).ravel()
+            fj = (base + index_pairs[..., 1]).ravel()
+            diff = flat[fi] - flat[fj]
+            comp = np.hypot(diff[:, 0], diff[:, 1])
+            contrib = coeff_of(comp)[:, None] * diff
+            out = np.zeros_like(flat)
+            np.add.at(out, fi, contrib)
+            np.add.at(out, fj, -contrib)
+            return out, comp
+
+        edge_grad, _ = scatter(
+            pairs,
+            lambda comp: (2.0 * weights.ravel()) * (comp - dists.ravel())
+            / np.maximum(comp, 1e-12),
+        )
+
+        def constraint_coeff(comp):
+            vcomp = np.maximum(comp, 1e-12)
+            vcoeff = 2.0 * self.WEIGHT * (vcomp - self.MIN_SPACING) / vcomp
+            return np.where((comp < self.MIN_SPACING) & cvalid.ravel(), vcoeff, 0.0)
+
+        constraint_grad, ccomp = scatter(cpairs, constraint_coeff)
+        # Masked padding slots, violated real slots and slack real slots.
+        hit = ccomp.reshape(cvalid.shape) < self.MIN_SPACING
+        assert (~cvalid).any()
+        assert (hit & cvalid).any() and (~hit & cvalid).any()
+        grads = batch_lss_gradient_padded(
+            pts, pairs, dists, weights, constraint_pairs=cpairs,
+            constraint_valid=cvalid, min_spacing_m=self.MIN_SPACING,
+            constraint_weight=self.WEIGHT,
+        )
+        np.testing.assert_array_equal(
+            grads, (edge_grad + constraint_grad).reshape(pts.shape)
+        )
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        from repro.engine import batch
+
+        calls = []
+        original = getattr(batch, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch, name, counted)
+        return calls
+
+    def test_dense_descent_evaluates_geometry_once_per_epoch(self, monkeypatch):
+        from repro import telemetry
+        from repro.engine.batch import batch_lss_descend
+
+        configs, edges, cpairs = self._dense_stack(3)
+        geometry = self._count_calls(monkeypatch, "_lss_geometry_t")
+        gradient = self._count_calls(monkeypatch, "_lss_gradient_geometry_t")
+        free_mask = np.ones(configs.shape[1], dtype=bool)
+        free_mask[0] = False
+        with telemetry.recording() as rec:
+            batch_lss_descend(
+                configs, edges, cpairs, min_spacing_m=self.MIN_SPACING,
+                constraint_weight=self.WEIGHT, step_size=0.02, max_epochs=150,
+                tolerance=1e-7, free_mask=free_mask,
+            )
+        epochs = rec.counters["engine.batch.lss_iterations"]
+        assert epochs > 1
+        assert len(geometry) == epochs + 1
+        assert 1 <= len(gradient) <= epochs + 1
+
+    def test_padded_descent_evaluates_geometry_once_per_epoch(self, monkeypatch):
+        from repro import telemetry
+        from repro.engine.batch import batch_lss_descend_padded
+
+        rng = np.random.default_rng(11)
+        problems = TestPaddedLssKernels._random_problems(rng, n_problems=6)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, self.MIN_SPACING
+        )
+        geometry = self._count_calls(monkeypatch, "_lss_geometry_flat")
+        gradient = self._count_calls(monkeypatch, "_lss_gradient_geometry_flat")
+        with telemetry.recording() as rec:
+            batch_lss_descend_padded(
+                pts, pairs, dists, weights, constraint_pairs=cpairs,
+                constraint_valid=cvalid, min_spacing_m=self.MIN_SPACING,
+                constraint_weight=self.WEIGHT, step_size=0.02, max_epochs=150,
+            )
+        epochs = rec.counters["engine.batch.lss_padded_iterations"]
+        assert epochs > 1
+        assert len(geometry) == epochs + 1
+        assert 1 <= len(gradient) <= epochs + 1

@@ -84,6 +84,27 @@ class TestRunTrace:
             r["type"] == "span" and r["path"] == "experiment" for r in records
         )
 
+    def test_failed_run_still_writes_trace(self, tmp_path, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro import telemetry
+
+        def failing_run(args, run_parser):
+            telemetry.count("test.before_failure", 1)
+            with telemetry.span("scenario"):
+                raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "_cmd_run_inner", failing_run)
+        trace = tmp_path / "failed.jsonl"
+        with pytest.raises(RuntimeError, match="solver blew up"):
+            main(["run", "uniform-multilateration", "--trace", str(trace)])
+        assert f"-> {trace}" in capsys.readouterr().out
+        manifest, records, warnings = read_trace_lenient(trace)
+        assert warnings == []
+        assert manifest["argv"] == ["run", "uniform-multilateration"]
+        assert any(r["type"] == "span" and r["path"] == "scenario" for r in records)
+        counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
+        assert counters["test.before_failure"] == 1
+
 
 class TestTraceSummarize:
     def test_summarize_renders_tree_and_counters(self, tmp_path, capsys):
