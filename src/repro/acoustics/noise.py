@@ -9,16 +9,15 @@ false-positive probability for their duration and — crucially — are
 multi-chirp accumulation defeats them.
 
 :class:`NoiseBurstProcess` is a Poisson process of bursts; the ranging
-simulator asks it for a per-sample false-positive-probability track.
+simulator draws each chirp's burst intervals from it and raises its
+per-sample false-positive-probability track inside them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .._validation import check_non_negative, check_positive, check_probability, ensure_rng
+from .._validation import check_non_negative, check_positive, check_probability
 from .environment import Environment
 
 __all__ = ["NoiseBurstProcess"]
@@ -56,32 +55,34 @@ class NoiseBurstProcess:
             fp_rate=environment.noise_burst_fp_rate,
         )
 
-    def false_positive_track(
-        self,
-        n_samples: int,
-        sampling_rate_hz: float,
-        base_rate: float,
-        rng=None,
-    ) -> np.ndarray:
-        """Per-sample false-positive probability over a recording window.
+    def interval_sampler(self, n_samples: int, sampling_rate_hz: float):
+        """A function ``draw(rng)`` returning the sample-index intervals
+        ``[(start, stop), ...]`` of the bursts in one *n_samples*
+        recording window.
 
-        Starts from *base_rate* everywhere and raises the probability to
-        ``max(base_rate, fp_rate)`` inside each burst.
+        Arguments are validated once here, so the sampler can run per
+        chirp.  Each call draws the burst count (``poisson``) and then
+        each burst's start (``uniform``) and length (``exponential``);
+        with a zero rate or an empty window it draws nothing.
         """
         check_positive(sampling_rate_hz, "sampling_rate_hz")
-        check_probability(base_rate, "base_rate")
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")
-        rng = ensure_rng(rng)
-        track = np.full(n_samples, base_rate)
-        if self.rate_hz == 0.0 or n_samples == 0:
-            return track
         window_s = n_samples / sampling_rate_hz
-        n_bursts = rng.poisson(self.rate_hz * window_s)
-        for _ in range(int(n_bursts)):
-            start_s = rng.uniform(0.0, window_s)
-            length_s = rng.exponential(self.duration_s)
-            start = int(start_s * sampling_rate_hz)
-            stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
-            track[start:stop] = max(base_rate, self.fp_rate)
-        return track
+        expected = self.rate_hz * window_s
+        duration_s = self.duration_s
+        silent = self.rate_hz == 0.0 or n_samples == 0
+
+        def draw(rng):
+            if silent:
+                return []
+            intervals = []
+            for _ in range(int(rng.poisson(expected))):
+                start_s = rng.uniform(0.0, window_s)
+                length_s = rng.exponential(duration_s)
+                start = int(start_s * sampling_rate_hz)
+                stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
+                intervals.append((start, stop))
+            return intervals
+
+        return draw

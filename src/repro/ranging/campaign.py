@@ -8,6 +8,17 @@ draws (hardware profiles, ground-cover gain, echo paths) are held fixed
 across rounds so errors correlate exactly the way the paper's filtering
 pipeline expects.
 
+Each ``(round, source)`` sequence is one block: the campaign draws the
+attempts of all the source's receivers into a
+:class:`~repro.ranging.link.ChirpBlock` -- per receiver the radio sync
+(``radio.delivers``), the link's first-use ``draw_link``, then the
+attempt's own draws -- and evaluates and detects the whole block at
+once.  The generator is consumed in the same order as one attempt at a
+time, and measurements are added in receiver order, so the result does
+not depend on the blocking.  A block holds at most ``(n_nodes - 1) x
+chirps`` buffers, reused across blocks; a whole campaign is never
+stacked.
+
 The output is a :class:`~repro.core.measurements.MeasurementSet` with
 ground truth attached, ready for the filtering/consistency stages and
 for localization.
@@ -122,8 +133,11 @@ class RangingCampaign:
         measurements = MeasurementSet()
         limit = self._attempt_range()
         n = self.n_nodes
+        block = self.service.block(max(n - 1, 0))
         for round_index in range(self.config.rounds):
             for source in range(n):
+                block.clear()
+                attempted = []
                 for receiver in range(n):
                     if receiver == source:
                         continue
@@ -134,13 +148,18 @@ class RangingCampaign:
                     # the receiver to record this source's sequence.
                     if not self.config.radio.delivers(distance, self._rng):
                         continue
-                    estimate = self.service.measure(
+                    block.draw(
                         distance,
                         source_hw=self.hardware[source],
                         receiver_hw=self.hardware[receiver],
                         link=self.link_for(source, receiver),
                         rng=self._rng,
                     )
+                    attempted.append((receiver, distance))
+                if not attempted:
+                    continue
+                estimates = self.service.estimates(block)
+                for (receiver, distance), estimate in zip(attempted, estimates):
                     if estimate is None:
                         continue
                     measurements.add_distance(

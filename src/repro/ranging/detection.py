@@ -8,25 +8,54 @@ random noise does not).  Threshold detection then finds the beginning of
 the chirp: a sample's accumulated count must reach the threshold ``T``,
 and at least ``k`` of ``m`` consecutive samples must do so.
 
-``accumulate_chirps`` is the paper's ``record-signal`` and
-``detect_signal`` its ``detect-signal``; both are faithful 0-indexed
-translations of the pseudocode, vectorized with numpy.
+Every operation here has one row-wise kernel over a stack of buffers:
+:func:`accumulate_rows` sums and clips a ``(rows, chirps, n)`` block of
+binary streams, :func:`window_starts` marks every ``k``-of-``m`` window
+start of a ``(rows, n)`` count stack from an integer ``cumsum`` of the
+threshold hits, and :func:`detect_signal_rows` / :func:`first_hit_rows`
+return one index per row.  The ranging simulator evaluates a whole
+block of attempts through them at once.  The paper's single-buffer
+functions -- ``record-signal`` (:func:`accumulate_chirps`) and
+``detect-signal`` (:func:`detect_signal`), plus
+:func:`detect_all_windows` and the baseline's :func:`first_hit` -- are
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..errors import ValidationError
 
 __all__ = [
+    "MAX_COUNT",
+    "accumulate_rows",
     "accumulate_chirps",
+    "window_starts",
+    "detect_signal_rows",
+    "first_hit_rows",
     "detect_signal",
     "detect_all_windows",
     "first_hit",
 ]
+
+#: Accumulation counts saturate here: the service packs them into 4 bits
+#: per buffer offset (Section 3.6.2).
+MAX_COUNT = 15
+
+
+def accumulate_rows(streams: np.ndarray) -> np.ndarray:
+    """Sum each row's binary chirp streams into one clipped count buffer.
+
+    *streams* has shape ``(rows, chirps, n)`` (bool or 0/1 integers);
+    returns the int64 ``(rows, n)`` counts, clipped at :data:`MAX_COUNT`.
+    """
+    # A uint8 sum is exact up to 255 chirps and several times cheaper.
+    dtype = np.uint8 if streams.shape[1] <= 255 else np.int64
+    counts = np.sum(streams, axis=1, dtype=dtype)
+    return np.minimum(counts, MAX_COUNT).astype(np.int64)
 
 
 def accumulate_chirps(chirp_streams: Iterable[np.ndarray]) -> np.ndarray:
@@ -49,10 +78,73 @@ def accumulate_chirps(chirp_streams: Iterable[np.ndarray]) -> np.ndarray:
             raise ValidationError("chirp streams must have equal length")
         if np.any((s != 0) & (s != 1)):
             raise ValidationError("chirp streams must be binary (0/1)")
-    counts = np.zeros(length, dtype=np.int64)
-    for s in streams:
-        counts += s.astype(np.int64)
-    return np.minimum(counts, 15)
+    return accumulate_rows(np.stack(streams)[None])[0]
+
+
+def _check_window(k: int, m: int, threshold: int) -> None:
+    if m < 1 or k < 1:
+        raise ValidationError("k and m must be >= 1")
+    if k > m:
+        raise ValidationError(f"k ({k}) cannot exceed window size m ({m})")
+    if threshold < 1:
+        raise ValidationError("threshold must be >= 1")
+
+
+def _rows(counts) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.ndim != 2:
+        raise ValidationError("counts must be 2-dimensional (rows, samples)")
+    return counts
+
+
+def _one_row(samples) -> np.ndarray:
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValidationError("samples must be 1-dimensional")
+    return samples[None]
+
+
+def window_starts(counts: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    """Row-wise mask of detection-window starts.
+
+    Entry ``[r, s]`` (for ``s`` in ``0 .. n - m``) is true when
+    ``counts[r, s] >= threshold`` and at least ``k`` of the ``m``
+    samples ``counts[r, s : s + m]`` reach it.  Window sums are
+    differences of an integer ``cumsum`` of the threshold hits, so they
+    are exact.  Rows shorter than ``m`` give a ``(rows, 0)`` mask.
+    """
+    counts = _rows(counts)
+    _check_window(k, m, threshold)
+    rows, n = counts.shape
+    if n < m:
+        return np.zeros((rows, 0), dtype=bool)
+    hits = counts >= threshold
+    running = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(hits, axis=1, out=running[:, 1:])
+    in_window = running[:, m:] - running[:, : n - m + 1]
+    return (in_window >= k) & hits[:, : n - m + 1]
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per-row index of the first true entry, -1 for all-false rows."""
+    if mask.shape[1] == 0:
+        return np.full(mask.shape[0], -1, dtype=np.int64)
+    first = np.argmax(mask, axis=1)
+    return np.where(mask[np.arange(mask.shape[0]), first], first, -1).astype(np.int64)
+
+
+def detect_signal_rows(counts: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    """:func:`detect_signal` for every row of a ``(rows, n)`` stack:
+    the int64 first window start per row, -1 where none exists."""
+    return _first_true(window_starts(counts, k, m, threshold))
+
+
+def first_hit_rows(counts: np.ndarray, threshold: int = 1) -> np.ndarray:
+    """:func:`first_hit` for every row of a ``(rows, n)`` stack."""
+    counts = _rows(counts)
+    if threshold < 1:
+        raise ValidationError("threshold must be >= 1")
+    return _first_true(counts >= threshold)
 
 
 def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
@@ -70,25 +162,7 @@ def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
     parameters (the field experiments used ``T = 2``, ``k = 6``,
     ``m = 32`` with 10 accumulated chirps — Section 3.6).
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if m < 1 or k < 1:
-        raise ValidationError("k and m must be >= 1")
-    if k > m:
-        raise ValidationError(f"k ({k}) cannot exceed window size m ({m})")
-    if threshold < 1:
-        raise ValidationError("threshold must be >= 1")
-    n = samples.shape[0]
-    if n < m:
-        return -1
-    hits = (samples >= threshold).astype(np.int64)
-    # counts[s] = number of hits in samples[s : s + m]
-    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
-    candidates = np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
-    if candidates.size == 0:
-        return -1
-    return int(candidates[0])
+    return int(detect_signal_rows(_one_row(samples), k, m, threshold)[0])
 
 
 def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
@@ -97,17 +171,7 @@ def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> n
     Diagnostic companion to :func:`detect_signal` (which returns only
     the first); useful for studying echo-induced secondary detections.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if m < 1 or k < 1 or k > m or threshold < 1:
-        raise ValidationError("invalid detection parameters")
-    n = samples.shape[0]
-    if n < m:
-        return np.zeros(0, dtype=np.int64)
-    hits = (samples >= threshold).astype(np.int64)
-    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
-    return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
+    return np.nonzero(window_starts(_one_row(samples), k, m, threshold)[0])[0]
 
 
 def first_hit(samples: np.ndarray, threshold: int = 1) -> int:
@@ -118,12 +182,4 @@ def first_hit(samples: np.ndarray, threshold: int = 1) -> int:
     beginning of the chirp — the behaviour whose unreliability motivates
     the refined algorithm.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if threshold < 1:
-        raise ValidationError("threshold must be >= 1")
-    hits = np.nonzero(samples >= threshold)[0]
-    if hits.size == 0:
-        return -1
-    return int(hits[0])
+    return int(first_hit_rows(_one_row(samples), threshold)[0])

@@ -11,7 +11,15 @@ distance estimates, mirroring Section 3 of the paper:
   buffer offset, ``k``-of-``m`` threshold detection (Figure 3), plus a
   per-environment calibration offset.
 
-The service measures one *directed* link per call; campaign-level
+The service evaluates attempts in blocks: :meth:`RangingService.block`
+hands out an empty :class:`~repro.ranging.link.ChirpBlock` sized for
+the mode's chirp count, callers draw attempts into it in stream order,
+and :meth:`RangingService.estimates` evaluates the whole block and runs
+the row-wise detector on it.  :meth:`~RangingService.measure` is a
+block of one; calibration and :meth:`~RangingService.detection_probability`
+draw all their attempts into blocks of up to :data:`BLOCK_ATTEMPTS`.
+Each evaluated block bumps the ``ranging.attempts`` and
+``ranging.detections`` counters once.  Campaign-level
 orchestration (rounds, node pairs, persistent link draws) lives in
 :mod:`repro.ranging.campaign`.
 """
@@ -19,20 +27,30 @@ orchestration (rounds, node pairs, persistent link draws) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .._validation import check_positive, ensure_rng
+from .. import telemetry
+from .._validation import ensure_rng
 from ..acoustics.environment import Environment
 from ..acoustics.hardware import HardwareProfile
 from ..acoustics.signal import ChirpPattern
 from ..errors import CalibrationError, ValidationError
-from .detection import detect_signal, first_hit
-from .link import AcousticLinkSimulator, LinkRealization
+from .detection import detect_signal_rows, first_hit_rows
+from .link import AcousticLinkSimulator, ChirpBlock, LinkRealization
 from .tdoa import TdoaConfig
 
 __all__ = ["DetectionParams", "RangingService"]
+
+#: Counters bumped once per evaluated block: directed attempts evaluated,
+#: and those whose buffer yielded a detection.
+ATTEMPTS_COUNTER = "ranging.attempts"
+DETECTIONS_COUNTER = "ranging.detections"
+
+#: Most attempts one block holds in calibration and detection-probability
+#: runs, which bounds their memory however many attempts they make.
+BLOCK_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,32 @@ class RangingService:
     # Measurement
     # ------------------------------------------------------------------
 
+    def block(self, capacity: int) -> ChirpBlock:
+        """An empty block for up to *capacity* attempts of this mode's
+        chirp pattern (a single chirp in baseline mode)."""
+        return self.link_simulator.block(capacity, 1 if self.mode == "baseline" else None)
+
+    def estimates(self, block: ChirpBlock) -> List[Optional[float]]:
+        """Evaluate and detect every attempt of *block*: one distance or
+        ``None`` per attempt, in draw order (see :meth:`measure`)."""
+        counts = block.counts()
+        if self.mode == "baseline":
+            index = first_hit_rows(counts, threshold=1)
+        else:
+            index = detect_signal_rows(
+                counts,
+                k=self.detection.k,
+                m=self.detection.m,
+                threshold=self.detection.threshold,
+            )
+        detected = index >= 0
+        telemetry.count(ATTEMPTS_COUNTER, len(index))
+        telemetry.count(DETECTIONS_COUNTER, int(detected.sum()))
+        return [
+            self.tdoa.distance_from_index(int(i)) if hit else None
+            for i, hit in zip(index, detected)
+        ]
+
     def measure(
         self,
         distance_m: float,
@@ -111,35 +155,27 @@ class RangingService:
         ``None`` means no detection — the receiver never identified the
         chirp (out of range, excessive attenuation, bad luck).
         """
-        rng = ensure_rng(rng)
-        sim = self.link_simulator
-        if self.mode == "baseline":
-            counts = sim.simulate_counts(
-                distance_m,
-                source_hw=source_hw,
-                receiver_hw=receiver_hw,
-                link=link,
-                num_chirps=1,
-                rng=rng,
-            )
-            index = first_hit(counts, threshold=1)
-        else:
-            counts = sim.simulate_counts(
-                distance_m,
-                source_hw=source_hw,
-                receiver_hw=receiver_hw,
-                link=link,
-                rng=rng,
-            )
-            index = detect_signal(
-                counts,
-                k=self.detection.k,
-                m=self.detection.m,
-                threshold=self.detection.threshold,
-            )
-        if index < 0:
-            return None
-        return self.tdoa.distance_from_index(index)
+        block = self.block(1)
+        block.draw(
+            distance_m,
+            source_hw=source_hw,
+            receiver_hw=receiver_hw,
+            link=link,
+            rng=rng,
+        )
+        return self.estimates(block)[0]
+
+    def _fresh_link_estimates(self, distances_m: Sequence[float], rng) -> List[Optional[float]]:
+        """One measurement per entry of *distances_m*, each over a freshly
+        drawn link, evaluated in blocks of at most :data:`BLOCK_ATTEMPTS`."""
+        estimates: List[Optional[float]] = []
+        block = self.block(min(len(distances_m), BLOCK_ATTEMPTS))
+        for first in range(0, len(distances_m), BLOCK_ATTEMPTS):
+            block.clear()
+            for d in distances_m[first : first + BLOCK_ATTEMPTS]:
+                block.draw(d, link=self.link_simulator.draw_link(rng), rng=rng)
+            estimates += self.estimates(block)
+        return estimates
 
     def detection_probability(
         self,
@@ -161,9 +197,7 @@ class RangingService:
             raise ValidationError("attempts must be >= 1")
         rng = ensure_rng(rng)
         hits = 0
-        for _ in range(attempts):
-            link = self.link_simulator.draw_link(rng)
-            estimate = self.measure(distance_m, link=link, rng=rng)
+        for estimate in self._fresh_link_estimates([distance_m] * attempts, rng):
             if estimate is None:
                 continue
             if within_m is not None and abs(estimate - distance_m) > within_m:
@@ -191,13 +225,12 @@ class RangingService:
         Returns a new service carrying the calibrated config.
         """
         rng = ensure_rng(rng)
-        errors = []
-        for d in distances_m:
-            for _ in range(rounds):
-                link = self.link_simulator.draw_link(rng)
-                est = self.measure(d, link=link, rng=rng)
-                if est is not None:
-                    errors.append(est - d)
+        surveyed = [float(d) for d in distances_m for _ in range(rounds)]
+        errors = [
+            est - d
+            for d, est in zip(surveyed, self._fresh_link_estimates(surveyed, rng))
+            if est is not None
+        ]
         if not errors:
             raise CalibrationError(
                 "calibration produced no detections at any distance; "
@@ -205,5 +238,8 @@ class RangingService:
             )
         offset = float(np.median(errors)) + self.tdoa.calibration_offset_m
         calibrated_tdoa = self.tdoa.with_calibration(offset)
-        service = replace(self, tdoa=calibrated_tdoa, link_simulator=None)
-        return service
+        return replace(
+            self,
+            tdoa=calibrated_tdoa,
+            link_simulator=replace(self.link_simulator, tdoa=calibrated_tdoa),
+        )

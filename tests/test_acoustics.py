@@ -198,16 +198,25 @@ class TestChirpPattern:
 
 
 class TestNoiseBursts:
-    def test_zero_rate_flat_track(self):
+    def test_zero_rate_draws_nothing(self):
         process = NoiseBurstProcess(rate_hz=0.0, duration_s=0.01, fp_rate=0.5)
-        track = process.false_positive_track(1000, 16_000.0, 0.001, rng=0)
-        assert np.all(track == 0.001)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert process.interval_sampler(1000, 16_000.0)(rng) == []
+        assert rng.bit_generator.state == before
 
-    def test_bursts_elevate(self):
+    def test_bursts_fall_inside_window(self):
         process = NoiseBurstProcess(rate_hz=100.0, duration_s=0.01, fp_rate=0.5)
-        track = process.false_positive_track(16_000, 16_000.0, 0.001, rng=0)
-        assert track.max() == 0.5
-        assert track.min() == 0.001
+        intervals = process.interval_sampler(16_000, 16_000.0)(np.random.default_rng(0))
+        assert 50 < len(intervals) < 150
+        assert all(0 <= start < stop <= 16_000 for start, stop in intervals)
+
+    def test_sampler_rejects_bad_window(self):
+        process = NoiseBurstProcess(rate_hz=1.0, duration_s=0.01, fp_rate=0.5)
+        with pytest.raises(ValueError):
+            process.interval_sampler(-1, 16_000.0)
+        with pytest.raises(ValueError):
+            process.interval_sampler(100, 0.0)
 
     def test_from_environment(self):
         env = get_environment("grass")

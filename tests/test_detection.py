@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.ranging.detection import (
     accumulate_chirps,
+    accumulate_rows,
     detect_all_windows,
     detect_signal,
+    detect_signal_rows,
     first_hit,
+    first_hit_rows,
+    window_starts,
 )
 
 
@@ -174,3 +178,93 @@ class TestFirstHit:
             first_hit(np.zeros(10), threshold=0)
         with pytest.raises(ValidationError):
             first_hit(np.zeros((2, 5)))
+
+
+def _reference_window_starts(samples, k, m, threshold):
+    """Window starts of one buffer from a convolution window count."""
+    n = samples.shape[0]
+    if n < m:
+        return np.zeros(0, dtype=np.int64)
+    hits = (samples >= threshold).astype(np.int64)
+    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
+    return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
+
+
+def _reference_first_hit(samples, threshold):
+    hits = np.nonzero(samples >= threshold)[0]
+    return int(hits[0]) if hits.size else -1
+
+
+@st.composite
+def _count_stacks(draw):
+    """A (rows, n) count stack with window parameters; rows may be all
+    zero, n may be below m, and k may equal m."""
+    m = draw(st.integers(1, 40))
+    k = draw(st.one_of(st.just(m), st.integers(1, m)))
+    threshold = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(0, m - 1), st.integers(m, 90)))
+    rows = draw(st.integers(0, 5))
+    row = st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, 15), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0, threshold]), min_size=n, max_size=n),
+    )
+    stack = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64)
+    return stack.reshape(rows, n), k, m, threshold
+
+
+class TestRowwiseDetectorMatchesConvolution:
+    @given(_count_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        stack, k, m, threshold = case
+        mask = window_starts(stack, k, m, threshold)
+        first = detect_signal_rows(stack, k, m, threshold)
+        assert first.shape == (stack.shape[0],) and first.dtype == np.int64
+        for r, row in enumerate(stack):
+            want = _reference_window_starts(row, k, m, threshold)
+            np.testing.assert_array_equal(np.nonzero(mask[r])[0], want)
+            np.testing.assert_array_equal(detect_all_windows(row, k, m, threshold), want)
+            expected = int(want[0]) if want.size else -1
+            assert first[r] == expected
+            assert detect_signal(row, k, m, threshold) == expected
+
+    @given(_count_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_first_hit_matches_reference(self, case):
+        stack, _, _, threshold = case
+        got = first_hit_rows(stack, threshold)
+        for r, row in enumerate(stack):
+            assert got[r] == _reference_first_hit(row, threshold)
+            assert first_hit(row, threshold) == got[r]
+
+    def test_edge_cases(self):
+        zeros = np.zeros((2, 50), dtype=np.int64)
+        assert detect_signal_rows(zeros, 6, 32, 2).tolist() == [-1, -1]
+        short = np.full((3, 10), 5)
+        assert detect_signal_rows(short, 2, 32, 1).tolist() == [-1, -1, -1]
+        assert window_starts(short, 2, 32, 1).shape == (3, 0)
+        full = np.full((1, 32), 2)
+        assert detect_signal_rows(full, 32, 32, 2).tolist() == [0]
+        full[0, 31] = 1
+        assert detect_signal_rows(full, 32, 32, 2).tolist() == [-1]
+
+    def test_rows_must_be_2d(self):
+        with pytest.raises(ValidationError):
+            detect_signal_rows(np.zeros(10), 2, 4, 1)
+        with pytest.raises(ValidationError):
+            first_hit_rows(np.zeros(10))
+
+
+class TestAccumulateRows:
+    def test_sums_and_clips(self):
+        streams = np.zeros((2, 20, 4), dtype=bool)
+        streams[0, :3, 1] = True
+        streams[1, :, 2] = True
+        np.testing.assert_array_equal(
+            accumulate_rows(streams), [[0, 3, 0, 0], [0, 0, 15, 0]]
+        )
+
+    def test_many_chirps_do_not_wrap(self):
+        streams = np.ones((1, 256, 3), dtype=bool)  # wraps to 0 in uint8
+        assert accumulate_rows(streams).tolist() == [[15, 15, 15]]

@@ -101,3 +101,90 @@ class TestFig16Golden:
             scalar.positions[localized], positions[localized]
         )
         assert report.average_error == pytest.approx(3.278568236725, abs=ERROR_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Acoustic ranging pins (Section 3)
+# ---------------------------------------------------------------------------
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ranging_campaign(environment, mode, seed):
+    """Calibrate a service and run a 3-round campaign on a 4x4 grid at
+    8 m spacing, the way an acoustic scenario trial does."""
+    from repro.acoustics import get_environment
+    from repro.ranging import RangingService, run_campaign
+
+    rng = np.random.default_rng(seed)
+    positions = np.array(
+        [[8.0 * (i % 4), 8.0 * (i // 4)] for i in range(16)], dtype=float
+    )
+    service = RangingService(environment=get_environment(environment), mode=mode)
+    service = service.calibrate(rng=rng)
+    measured = run_campaign(positions, service, rounds=3, rng=rng)
+    rows = [
+        (m.source, m.receiver, m.distance, m.true_distance, m.round_index)
+        for m in measured
+    ]
+    return len(rows), _sha256(repr(rows)), _sha256(repr(rng.bit_generator.state))
+
+
+class TestAcousticRangingGolden:
+    """The chirp simulator and detectors are pinned bit for bit: every
+    directed measurement of a campaign and the generator state after it,
+    which fixes the order the simulation draws its random numbers in."""
+
+    #: (measurement count, sha256 of the measurement tuples, sha256 of
+    #: the generator state after the campaign), recorded at seed 2005.
+    PINS = {
+        ("urban", "refined"): (
+            589,
+            "b58af58e025bea32702b7c63942721c83ff70f70e181a9f668696d5dfaa8fbec",
+            "9db451850337f5f6076855512502e08896b07a2a78f666730d059cd2c6960955",
+        ),
+        ("grass", "refined"): (
+            377,
+            "edf7360c927debd04cec76bb0370d870f301d749c9b10279a5481684b53e4709",
+            "92653c01d8c7089b902fddecf8f0853553ba289010141f2b34a3aa7bb46ade19",
+        ),
+        ("pavement", "refined"): (
+            591,
+            "babb2ac827ffed12355a06816c09774d4e4a3dd188f1e762b9c70a8046470243",
+            "5360fea53e5283a23ab15f986a1de9f1a0113ee9ba6bc92bae336a4e27b3c0fc",
+        ),
+        ("wooded", "refined"): (
+            297,
+            "532b48b807464a0047d7d54d751246f2e2c9dda4c6341c8495fbdc444a460e9a",
+            "07b5bb91bd6afca0715b0cbdf092948571ab875943fd05e77755e6f080f49d4b",
+        ),
+        ("urban", "baseline"): (
+            637,
+            "5ae214a44b5adedeec090bf668d6804e2553148d19f0a58662097ec6f186d120",
+            "0894cc9982b4a84953f68deaa7e46a639bbaa11d59b9fcee0ba185fda86ef442",
+        ),
+    }
+
+    @pytest.mark.parametrize("environment, mode", list(PINS), ids="-".join)
+    def test_campaign_measurements(self, environment, mode):
+        assert _ranging_campaign(environment, mode, 2005) == self.PINS[
+            (environment, mode)
+        ]
+
+    def test_acoustic_scenario_records(self):
+        import json
+
+        from repro.scenarios import get_scenario, run_scenario
+        from repro.store.serialization import campaign_to_payload
+
+        result = run_scenario(
+            get_scenario("acoustic-urban-grid"), master_seed=7, n_trials=2
+        )
+        payload = json.dumps(campaign_to_payload(result), sort_keys=True)
+        assert _sha256(payload) == (
+            "6f21217276d9671bcafb9eb70c725695fdca42688cf199872011319ee2606a5c"
+        )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.acoustics import ChirpPattern, get_environment
+from repro.acoustics.hardware import HardwareProfile
 from repro.errors import CalibrationError, ValidationError
-from repro.ranging.link import LinkRealization
+from repro.ranging.link import AcousticLinkSimulator, LinkRealization
 from repro.ranging.service import DetectionParams, RangingService
 from repro.ranging.tdoa import TdoaConfig
 
@@ -161,3 +162,64 @@ class TestCalibration:
         calibrated = raw.calibrate(rng=0)
         assert calibrated is not raw
         assert raw.tdoa.calibration_offset_m == 0.0
+
+    def test_keeps_custom_link_simulator(self):
+        env = get_environment("grass")
+        custom = AcousticLinkSimulator(
+            environment=env, ramp_samples=8, timing_jitter_samples=0.0
+        )
+        raw = RangingService(environment=env, link_simulator=custom)
+        calibrated = raw.calibrate(rng=0)
+        sim = calibrated.link_simulator
+        assert sim.ramp_samples == 8
+        assert sim.timing_jitter_samples == 0.0
+        assert sim.tdoa == calibrated.tdoa
+        assert calibrated.tdoa.calibration_offset_m != 0.0
+        assert raw.link_simulator is custom and custom.tdoa == raw.tdoa
+
+
+class TestBlocks:
+    def test_estimates_match_one_at_a_time_measures(self, grass_service):
+        hw = HardwareProfile(latency_bias_s=-2e-4)
+        distances = [3.0, 9.5, 17.0, 30.0]
+        one_rng = np.random.default_rng(11)
+        singles = [
+            grass_service.measure(d, receiver_hw=hw, link=CLEAN_LINK, rng=one_rng)
+            for d in distances
+        ]
+        block_rng = np.random.default_rng(11)
+        block = grass_service.block(len(distances))
+        for d in distances:
+            block.draw(d, receiver_hw=hw, link=CLEAN_LINK, rng=block_rng)
+        assert grass_service.estimates(block) == singles
+        assert block_rng.bit_generator.state == one_rng.bit_generator.state
+
+    def test_baseline_block_sends_one_chirp(self):
+        service = RangingService(environment=get_environment("urban"), mode="baseline")
+        assert service.block(3).num_chirps == 1
+
+    def test_detection_probability_spans_several_blocks(self, grass_service):
+        from repro.ranging.service import BLOCK_ATTEMPTS
+
+        attempts = BLOCK_ATTEMPTS + 5
+        rng = np.random.default_rng(4)
+        p = grass_service.detection_probability(6.0, attempts=attempts, rng=rng)
+        one = np.random.default_rng(4)
+        hits = 0
+        for _ in range(attempts):
+            link = grass_service.link_simulator.draw_link(one)
+            hits += grass_service.measure(6.0, link=link, rng=one) is not None
+        assert p == hits / attempts
+        assert rng.bit_generator.state == one.bit_generator.state
+
+    def test_counters_count_attempts_and_detections(self, grass_service):
+        from repro import telemetry
+
+        with telemetry.recording() as rec:
+            estimates = [
+                grass_service.measure(d, link=CLEAN_LINK, rng=3) for d in (5.0, 90.0)
+            ]
+        assert rec.counters["ranging.attempts"] == 2
+        assert rec.counters["ranging.detections"] == sum(
+            e is not None for e in estimates
+        )

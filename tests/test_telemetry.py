@@ -33,6 +33,7 @@ from repro.scenarios import (
     RangingSpec,
     ScenarioSpec,
     SolverSpec,
+    get_scenario,
     run_scenario,
 )
 from repro.store import ResultStore
@@ -247,6 +248,25 @@ class TestWorkerCountInvariance:
         assert [b["fields"] for b in boundaries1] == [
             b["fields"] for b in boundaries2
         ]
+
+
+    @pytest.mark.slow
+    def test_ranging_counters_are_worker_count_independent(self):
+        """The ranging kernel's per-block counters are pure functions of
+        (spec, seed): equal across repeats and worker counts."""
+        spec = get_scenario("acoustic-urban-grid")
+
+        def counters(n_workers):
+            with telemetry.recording() as rec:
+                run_scenario(spec, master_seed=3, n_trials=2, n_workers=n_workers)
+            return {
+                name: rec.counters[name]
+                for name in ("ranging.attempts", "ranging.detections")
+            }
+
+        one, again, two = counters(1), counters(1), counters(2)
+        assert one == again == two
+        assert one["ranging.attempts"] > one["ranging.detections"] > 0
 
 
 class TestEngineInstrumentation:
