@@ -20,6 +20,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
+    "check_ranges",
     "ensure_rng",
 ]
 
@@ -78,6 +79,23 @@ def check_probability(value: float, name: str) -> float:
     if not np.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be a probability in [0, 1]; got {value!r}")
     return value
+
+
+def check_ranges(distances: np.ndarray, weights: np.ndarray) -> None:
+    """Reject non-finite or negative distances and weights.
+
+    The scalar and batched multilateration paths both call this, so
+    they accept and reject the same inputs.  The message names the
+    first bad entry's index.
+    """
+    for name, values in (("distances", distances), ("weights", weights)):
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            index = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"{name} must be finite and non-negative; got "
+                f"{values[tuple(index)]!r} at index {index.tolist()}"
+            )
 
 
 def ensure_rng(rng=None) -> np.random.Generator:

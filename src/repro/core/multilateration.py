@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import least_squares
 
-from .._validation import as_positions, check_positive, ensure_rng
+from .._validation import as_positions, check_positive, check_ranges, ensure_rng
 from ..errors import InsufficientDataError, ValidationError
 from .geometry import all_pairs_circle_intersections, is_collinear
 from .measurements import EdgeList, MeasurementSet
@@ -212,14 +212,13 @@ def multilaterate(
     dists = np.asarray(distances, dtype=float)
     if dists.shape != (anchors.shape[0],):
         raise ValidationError("distances must have one entry per anchor")
-    if np.any(dists < 0):
-        raise ValidationError("distances must be non-negative")
     if weights is None:
         w = np.ones(anchors.shape[0])
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (anchors.shape[0],) or np.any(w < 0):
-            raise ValidationError("weights must be non-negative, one per anchor")
+        if w.shape != (anchors.shape[0],):
+            raise ValidationError("weights must have one entry per anchor")
+    check_ranges(dists, w)
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
     if anchors.shape[0] < min_anchors:

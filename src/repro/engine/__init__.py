@@ -14,7 +14,9 @@ This subsystem provides the batched substrate those campaigns run on:
     configurations, so independent restarts or seeds advance in
     lockstep.  The ``*_padded`` variants stack *heterogeneous* LSS
     problems (per-problem node counts, edge lists, and constraint sets,
-    padded with exact-zero slots) for the distributed pipeline.
+    padded with exact-zero slots) for the distributed pipeline.  Each
+    operation has one batched implementation, in NumPy; the scalar
+    reference in :mod:`repro.core` is the only other copy.
 :mod:`repro.engine.localmaps`
     The distributed-LSS local-map solver: every node's one-hop
     neighborhood problem of a refinement round advances through its
@@ -70,16 +72,6 @@ solver tolerance instead (``tests/test_distributed.py``).  The scalar
 paths stay in the tree precisely to keep these contracts testable.
 """
 
-from .backend import (
-    ARRAY_BACKEND_ENV_VAR,
-    ArrayBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from .batch import (
     batch_gradient_descent,
     batch_lss_descend,
@@ -110,14 +102,6 @@ from .sharding import (
 )
 
 __all__ = [
-    "ARRAY_BACKEND_ENV_VAR",
-    "ArrayBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "batch_gradient_descent",
     "batch_lss_descend",
     "batch_lss_descend_padded",

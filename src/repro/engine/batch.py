@@ -45,13 +45,9 @@ them.  A descent therefore computes pair geometry once per epoch: an
 accepted candidate *is* the next configuration, so its gradient comes
 from the candidate's geometry, and a rejected one keeps its gradient.
 
-Every public kernel takes a ``backend`` argument (a name, an
-:class:`~repro.engine.backend.ArrayBackend`, or ``None`` for the
-process default).  On the default NumPy backend the kernel body below
-runs unchanged — the exact pre-seam code path, byte-identical outputs
-(determinism guarantee #9).  Any other backend dispatches to the
-portable Array-API twins in :mod:`repro.engine.xp_kernels`, which
-agree to floating-point tolerance (``tests/test_backend_parity.py``).
+Each operation has exactly one batched implementation, the NumPy body
+below; the scalar reference in :mod:`repro.core` is the only other
+copy, and the tests check the kernels against it.
 """
 
 from __future__ import annotations
@@ -63,9 +59,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
+from .._validation import check_ranges
 from ..errors import ValidationError
-from . import xp_kernels
-from .backend import resolve_backend
 
 __all__ = [
     "batch_gradient_descent",
@@ -216,7 +211,6 @@ def batch_gradient_descent(
     step_size: float = 0.1,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive gradient descent over a batch of multilateration problems.
 
@@ -238,21 +232,6 @@ def batch_gradient_descent(
     or step < 1e-12) on its own adaptive step size; finished problems
     are compacted out of the working batch.
     """
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        pos, res, iterations = xp_kernels.gd_descent_xp(
-            be,
-            np.asarray(anchors, dtype=float),
-            np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            np.asarray(valid, dtype=bool),
-            np.asarray(initial, dtype=float),
-            step_size=step_size,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
-        _count_kernel("gd", pos.shape[0], iterations, 0)
-        return pos, res
     total = anchors.shape[0]
     pos_out = np.empty((total, 2))
     res_out = np.empty(total)
@@ -460,12 +439,13 @@ def solve_multilateration_batch(
     step_size: float = 0.1,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a batch of heterogeneous multilateration problems at once.
 
     Each problem ``b`` is (anchor_sets[b] of shape (k_b, 2),
-    dist_sets[b], weight_sets[b]).  Per problem this applies the same
+    dist_sets[b], weight_sets[b]).  Distances and weights must be finite
+    and non-negative (:class:`ValidationError` otherwise, as in the
+    scalar path).  Per problem this applies the same
     pipeline as :func:`repro.core.multilaterate` with the gradient
     solver: intersection consistency filter (falling back to the full
     anchor set when fewer than *min_anchors* survive), collinearity
@@ -500,6 +480,8 @@ def solve_multilateration_batch(
         stacked_dists[b, :k] = np.asarray(dist_sets[b], dtype=float)
         stacked_weights[b, :k] = np.asarray(weight_sets[b], dtype=float)
         valid[b, :k] = True
+    # Padded slots hold zeros, which pass.
+    check_ranges(stacked_dists, stacked_weights)
 
     if consistency_check:
         keep = _batch_consistency_keep(
@@ -529,9 +511,6 @@ def solve_multilateration_batch(
         (totals > 0)[:, None], weighted / np.maximum(totals, 1e-300)[:, None], plain_mean
     )
 
-    # Stacking, the consistency filter, collinearity rejection, and the
-    # centroid init are one-shot setup and stay host-side NumPy for
-    # every backend; only the descent loop dispatches.
     pos, res = batch_gradient_descent(
         sub_anchors,
         sub_dists,
@@ -541,7 +520,6 @@ def solve_multilateration_batch(
         step_size=step_size,
         max_iterations=max_iterations,
         tolerance=tolerance,
-        backend=backend,
     )
     positions[solvable] = pos
     residuals[solvable] = res
@@ -561,7 +539,6 @@ def batch_lss_error(
     constraint_pairs: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """LSS objective ``E`` for stacked configurations, shape (B,).
 
@@ -569,11 +546,6 @@ def batch_lss_error(
     the same reduction as :func:`repro.core.lss.lss_error`.
     """
     pts = np.asarray(configs, dtype=float)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_error_xp(
-            be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-        )
     pair_i, pair_j = _dense_endpoints(edges, constraint_pairs, min_spacing_m)
     return _lss_geometry_t(pts.transpose(1, 0, 2), pair_i, pair_j, edges,
                            min_spacing_m, constraint_weight)[0]
@@ -681,7 +653,6 @@ def batch_lss_gradient(
     constraint_pairs: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """Gradient of the LSS objective for stacked configurations.
 
@@ -690,11 +661,6 @@ def batch_lss_gradient(
     :func:`repro.core.lss.lss_gradient`.
     """
     pts = np.asarray(configs, dtype=float)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_gradient_xp(
-            be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-        )
     pair_i, pair_j = _dense_endpoints(edges, constraint_pairs, min_spacing_m)
     _, diff, comp = _lss_geometry_t(pts.transpose(1, 0, 2), pair_i, pair_j, edges,
                                     min_spacing_m, constraint_weight)
@@ -717,7 +683,6 @@ def batch_lss_descend(
     traces: Optional[List[List[float]]] = None,
     momentum: float = 0.9,
     patience: int = 50,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-gradient-descent round over stacked configurations.
 
@@ -738,25 +703,6 @@ def batch_lss_descend(
 
     Returns ``(configs (B, n, 2), errors (B,), converged (B,))``.
     """
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        pts, current, converged, epochs = xp_kernels.lss_descend_xp(
-            be,
-            np.asarray(configs, dtype=float),
-            edges,
-            constraint_pairs,
-            min_spacing_m=min_spacing_m,
-            constraint_weight=constraint_weight,
-            step_size=step_size,
-            max_epochs=max_epochs,
-            tolerance=tolerance,
-            free_mask=np.asarray(free_mask, dtype=bool),
-            traces=traces,
-            momentum=momentum,
-            patience=patience,
-        )
-        _count_kernel("lss", pts.shape[0], epochs)
-        return pts, current, converged
     # Node-major (n_nodes, B, 2) layout: the pair-endpoint gather and the
     # bincount scatter both address the leading axis directly.
     pts_t = np.ascontiguousarray(
@@ -970,7 +916,6 @@ def batch_lss_error_padded(
     constraint_valid: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """LSS objective for a batch of *heterogeneous* problems, shape (B,).
 
@@ -998,13 +943,6 @@ def batch_lss_error_padded(
     """
     pts = np.asarray(configs, dtype=float)
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_error_padded_xp(
-            be, pts, np.asarray(pairs), np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
-        )
     return _padded_geometry(
         pts, np.asarray(pairs), np.asarray(dists, dtype=float),
         np.asarray(weights, dtype=float), constraint_pairs, constraint_valid,
@@ -1022,7 +960,6 @@ def batch_lss_gradient_padded(
     constraint_valid: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """Gradient of the heterogeneous LSS objective, shape (B, N, 2).
 
@@ -1032,13 +969,6 @@ def batch_lss_gradient_padded(
     """
     pts = np.asarray(configs, dtype=float)
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_gradient_padded_xp(
-            be, pts, np.asarray(pairs), np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
-        )
     dists = np.asarray(dists, dtype=float)
     weights = np.asarray(weights, dtype=float)
     _, diff, comp, fi, fj, cvalid = _padded_geometry(
@@ -1067,7 +997,6 @@ def batch_lss_descend_padded(
     tolerance: float = 1e-7,
     momentum: float = 0.9,
     patience: int = 50,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-descent round over a batch of heterogeneous problems.
 
@@ -1083,27 +1012,6 @@ def batch_lss_descend_padded(
     straggler treatment as :func:`batch_gradient_descent`), so a few
     slow neighborhoods do not drag the whole stack's per-epoch cost.
     """
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        _require_constraint_mask(constraint_pairs, constraint_valid)
-        out_pts, out_err, out_conv, epochs = xp_kernels.lss_descend_padded_xp(
-            be,
-            np.asarray(configs, dtype=float),
-            np.asarray(pairs),
-            np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs=constraint_pairs,
-            constraint_valid=constraint_valid,
-            min_spacing_m=min_spacing_m,
-            constraint_weight=constraint_weight,
-            step_size=step_size,
-            max_epochs=max_epochs,
-            tolerance=tolerance,
-            momentum=momentum,
-            patience=patience,
-        )
-        _count_kernel("lss_padded", out_pts.shape[0], epochs, 0)
-        return out_pts, out_err, out_conv
     pts = np.array(configs, dtype=float)
     total, n_nodes = pts.shape[:2]
     pts_out = pts.copy()
@@ -1199,7 +1107,6 @@ def lss_localize_multistart(
     seeds: Sequence,
     initial: Optional[np.ndarray] = None,
     fixed_positions: Optional[Dict[int, Sequence[float]]] = None,
-    backend=None,
 ) -> list:
     """Run independent seeded LSS minimizations in vectorized lockstep.
 
@@ -1272,7 +1179,7 @@ def lss_localize_multistart(
     traces: List[List[float]] = [[] for _ in range(n_batch)]
     boundaries: List[List[int]] = [[] for _ in range(n_batch)]
     best_pts = pts.copy()
-    best_error = batch_lss_error(pts, edges, backend=backend, **kwargs)
+    best_error = batch_lss_error(pts, edges, **kwargs)
     converged = np.zeros(n_batch, dtype=bool)
     for round_index in range(config.restarts):
         for b in range(n_batch):
@@ -1298,7 +1205,6 @@ def lss_localize_multistart(
             tolerance=config.tolerance,
             free_mask=free_mask,
             traces=traces,
-            backend=backend,
         )
         better = out_error < best_error
         best_pts = np.where(better[:, None, None], out_pts, best_pts)

@@ -45,6 +45,7 @@ from ..core import (
     lss_localize,
     run_distributed_protocol,
 )
+from ..core.lss import _constraint_pairs
 from ..deploy import square_grid, town_layout
 from ..ranging import RangingService, TdoaConfig, XsmRangingService, gaussian_ranges
 from .base import ExperimentResult, ShapeCheck, register
@@ -204,18 +205,24 @@ def ext_scaling(seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Centralized cost grows with n; distributed work stays local.
 
     "As more nodes are added, the number of terms in the error function
-    increases, as does the number of local minima" — we measure the
-    per-epoch cost of centralized LSS at two network sizes, and the
-    size of the largest problem any single node solves in the
-    distributed pipeline.
+    increases, as does the number of local minima" — we count the
+    terms of centralized LSS's error function (measured edges plus
+    soft-constraint pairs, all evaluated every epoch) at two network
+    sizes, and the size of the largest problem any single node solves
+    in the distributed pipeline.  The per-epoch wall time is reported
+    alongside, as information only: it is a noisy proxy for the term
+    count.
     """
     rng = ensure_rng(seed)
     sizes = (16, 64)
     per_epoch = {}
+    pair_terms = {}
     for size in sizes:
         side = int(np.sqrt(size))
         positions = square_grid(side, side, spacing_m=10.0)
         ranges = gaussian_ranges(positions, max_range_m=16.0, sigma_m=0.33, rng=rng)
+        edges = ranges.to_edge_list()
+        pair_terms[size] = len(edges) + len(_constraint_pairs(size, edges.pairs))
         config = LssConfig(min_spacing_m=10.0, restarts=1, max_epochs=300)
         start = time.perf_counter()
         result = lss_localize(ranges, size, config=config, rng=seed)
@@ -229,22 +236,25 @@ def ext_scaling(seed: int = DEFAULT_SEED) -> ExperimentResult:
     )
     largest_local = max(len(m.members) for m in maps.values())
 
-    growth = per_epoch[64] / max(per_epoch[16], 1e-12)
+    growth = pair_terms[64] / pair_terms[16]
     return ExperimentResult(
         experiment_id="ext-scaling",
         title="Centralized epoch cost vs distributed local problem size",
         paper={"centralized_does_not_scale": "yes"},
         measured={
+            "pair_terms_16_nodes": float(pair_terms[16]),
+            "pair_terms_64_nodes": float(pair_terms[64]),
+            "pair_term_growth_16_to_64": growth,
             "epoch_cost_16_nodes_s": per_epoch[16],
             "epoch_cost_64_nodes_s": per_epoch[64],
-            "epoch_cost_growth_16_to_64": growth,
+            "epoch_cost_growth_16_to_64": per_epoch[64] / max(per_epoch[16], 1e-12),
             "largest_local_problem_nodes": float(largest_local),
         },
         checks=[
             ShapeCheck(
-                "centralized per-epoch cost grows with network size",
+                "centralized per-epoch work grows with network size",
                 growth > 1.5,
-                f"{growth:.1f}x from 16 to 64 nodes",
+                f"{growth:.1f}x error-function terms from 16 to 64 nodes",
             ),
             ShapeCheck(
                 "distributed nodes solve only neighborhood-sized problems",

@@ -2,9 +2,9 @@
 
 A bench record is a single JSON object (conventionally stored as
 ``BENCH_<label>.json``) describing one benchmark session: the run
-**manifest** (host, platform, python, numpy, repro version, array
-backend, code version — the same environment fields a telemetry trace
-manifest carries) plus one **result** entry per workload with the raw
+**manifest** (host, platform, python, numpy, repro version, code
+version — the same environment fields a telemetry trace manifest
+carries) plus one **result** entry per workload with the raw
 repeat timings, their median/min, the key telemetry counters of the
 run, and derived throughput metrics.
 

@@ -118,13 +118,14 @@ class _Span:
         self._cpu0 = time.process_time()
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         wall_s = time.perf_counter() - self._wall0
         cpu_s = time.process_time() - self._cpu0
         rec = self._recorder
         path = "/".join(rec._stack)
         rec._stack.pop()
-        rec._record_span(self._name, path, wall_s, cpu_s, self._attrs)
+        error = None if exc_type is None else exc_type.__name__
+        rec._record_span(self._name, path, wall_s, cpu_s, self._attrs, error)
         return False
 
 
@@ -172,18 +173,21 @@ class TraceRecorder:
         path = f"{base}/{name}" if base else name
         self._record_span(name, path, float(wall_s), float(cpu_s), attrs)
 
-    def _record_span(self, name, path, wall_s, cpu_s, attrs) -> None:
-        self.spans.append(
-            {
-                "type": "span",
-                "name": name,
-                "path": path,
-                "wall_s": max(0.0, float(wall_s)),
-                "cpu_s": max(0.0, float(cpu_s)),
-                "attrs": _scrub(attrs),
-                "seq": self._next_seq(),
-            }
-        )
+    def _record_span(self, name, path, wall_s, cpu_s, attrs, error=None) -> None:
+        record = {
+            "type": "span",
+            "name": name,
+            "path": path,
+            "wall_s": max(0.0, float(wall_s)),
+            "cpu_s": max(0.0, float(cpu_s)),
+            "attrs": _scrub(attrs),
+            "seq": self._next_seq(),
+        }
+        if error is not None:
+            # Only a span left through an exception carries the field,
+            # so successful span records stay byte-identical.
+            record["error"] = error
+        self.spans.append(record)
 
     def count(self, name: str, value=1) -> None:
         """Add *value* to the named monotonic counter."""

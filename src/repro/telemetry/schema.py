@@ -85,6 +85,8 @@ def validate_record(record: Any, line_no: int = 0) -> None:
         attrs = _require(record, "attrs", dict, where)
         if any(not isinstance(k, str) for k in attrs):
             raise ValidationError(f"{where}: span attr keys must be strings")
+        if "error" in record and not _require(record, "error", str, where):
+            raise ValidationError(f"{where}: span error must be non-empty")
     elif rtype in ("counter", "gauge"):
         if not _require(record, "name", str, where):
             raise ValidationError(f"{where}: {rtype} name must be non-empty")

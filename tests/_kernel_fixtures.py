@@ -1,12 +1,11 @@
-"""Seeded kernel inputs shared by the backend parity harness.
+"""Seeded kernel inputs for the engine kernels' golden byte pins.
 
-The differential tests in ``tests/test_backend_parity.py`` and the
-pre-seam golden byte pins both need the *same* deterministic problem
-stacks: each builder here derives every array from a fixed
-``numpy.random.default_rng`` seed, so the inputs are bit-identical
-across processes, test runs, and the pin-generation script that froze
-the pre-seam hashes.  Keep these builders pure (no global state, no
-time, no platform queries) — the byte pins depend on it.
+The pins in ``tests/test_golden_regression.py`` hash each public
+kernel's output on these deterministic problem stacks: each builder
+derives every array from a fixed ``numpy.random.default_rng`` seed, so
+the inputs are bit-identical across processes, test runs, and the
+script that froze the hashes.  Keep these builders pure (no global
+state, no time, no platform queries) — the byte pins depend on it.
 """
 
 from __future__ import annotations

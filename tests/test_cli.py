@@ -138,79 +138,6 @@ class TestExperimentFlagValidation:
         assert "PASS" in capsys.readouterr().out
 
 
-class TestArrayBackendFlag:
-    """Regression: an invalid ``--array-backend`` (or
-    ``REPRO_ARRAY_BACKEND``) used to surface as a traceback from the
-    first kernel call deep inside a campaign; it is now validated
-    eagerly and exits 2 with the known-backend list before any trial
-    runs."""
-
-    def test_invalid_flag_exits_2_with_known_backends(self, capsys):
-        assert main(["run", "fig11", "--array-backend", "tensorflow"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend 'tensorflow'" in err
-        assert "numpy" in err and "Traceback" not in err
-
-    def test_invalid_env_var_exits_2(self, capsys, monkeypatch):
-        from repro.engine.backend import ARRAY_BACKEND_ENV_VAR
-
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "bogus")
-        assert main(["run", "fig11"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend 'bogus'" in err
-
-    def test_unavailable_backend_exits_2_with_hint(self, capsys):
-        from repro.engine import available_backends
-
-        if "cupy" in available_backends():
-            pytest.skip("cupy installed; no unavailable backend to name")
-        assert main(["run", "fig11", "--array-backend", "cupy"]) == 2
-        err = capsys.readouterr().err
-        assert "not available" in err and "'auto'" in err
-
-    def test_flag_applies_to_experiments_and_scenarios(self, capsys):
-        # Unlike the scenario-only flags, --array-backend is a valid
-        # execution knob for both run kinds.
-        assert main(["run", "fig11", "--array-backend", "numpy-generic"]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "run",
-                    "uniform-multilateration",
-                    "--trials",
-                    "2",
-                    "--no-store",
-                    "--array-backend",
-                    "numpy-generic",
-                ]
-            )
-            == 0
-        )
-        assert "2 trials" in capsys.readouterr().out
-
-    def test_trace_manifest_records_backend(self, tmp_path, capsys):
-        import json
-
-        trace = tmp_path / "trace.jsonl"
-        args = [
-            "run",
-            "uniform-multilateration",
-            "--trials",
-            "2",
-            "--no-store",
-            "--trace",
-            str(trace),
-        ]
-        assert main(args + ["--array-backend", "numpy-generic"]) == 0
-        capsys.readouterr()
-        manifest = json.loads(trace.read_text().splitlines()[0])
-        assert manifest["array_backend"] == "numpy-generic"
-        assert main(args) == 0
-        manifest = json.loads(trace.read_text().splitlines()[0])
-        assert manifest["array_backend"] == "numpy"
-
-
 class TestStoreCommands:
     """The `repro store` maintenance group (stats/ls; gc and sync/migrate
     have their own suites in test_store_gc.py / test_store_sync.py)."""

@@ -12,7 +12,14 @@ multilateration (``localize_network``), LSS (``lss_localize`` /
 import numpy as np
 import pytest
 
-from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
+from repro.core import (
+    LssConfig,
+    dv_distance_localize,
+    dv_hop_localize,
+    localize_network,
+    lss_localize,
+    multilaterate,
+)
 from repro.core.multilateration import intersection_consistency_filter
 from repro.deploy import random_anchors, square_grid, uniform_random_layout
 from repro.engine.batch import (
@@ -152,6 +159,46 @@ class TestBatchKernelParity:
         assert not solved[0] and np.isnan(pos[0]).all()
         assert solved[1] and pos[1] == pytest.approx(target, abs=1e-4)
         assert np.isfinite(res[1])
+
+
+class TestInvalidRangeParity:
+    """Batched and scalar multilateration make the same accept/reject
+    decision on invalid distances and weights."""
+
+    ANCHORS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
+    DISTS = np.hypot(*(ANCHORS - np.array([4.0, 6.0])).T)
+
+    def _inputs(self, field, value):
+        dists, weights = self.DISTS.copy(), np.ones(4)
+        (dists if field == "distances" else weights)[1] = value
+        return dists, weights
+
+    @pytest.mark.parametrize("consistency_check", [True, False])
+    @pytest.mark.parametrize("field", ["distances", "weights"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_both_paths_reject(self, value, field, consistency_check):
+        dists, weights = self._inputs(field, value)
+        with pytest.raises(ValidationError, match=field):
+            multilaterate(
+                self.ANCHORS, dists, weights=weights, consistency_check=consistency_check
+            )
+        with pytest.raises(ValidationError, match=field):
+            solve_multilateration_batch(
+                [self.ANCHORS], [dists], [weights], consistency_check=consistency_check
+            )
+
+    @pytest.mark.parametrize("consistency_check", [True, False])
+    @pytest.mark.parametrize("field", ["distances", "weights"])
+    def test_both_paths_accept_zero(self, field, consistency_check):
+        dists, weights = self._inputs(field, 0.0)
+        scalar = multilaterate(
+            self.ANCHORS, dists, weights=weights, consistency_check=consistency_check
+        )
+        pos, solved, _ = solve_multilateration_batch(
+            [self.ANCHORS], [dists], [weights], consistency_check=consistency_check
+        )
+        assert solved[0]
+        assert pos[0] == pytest.approx(scalar.position, abs=1e-6)
 
 
 class TestConsistencyFilterParity:

@@ -11,12 +11,57 @@ explicitly by updating the pins.
 Anchor counts are exact (integer-counting, solver-independent); error
 statistics get a small absolute tolerance to absorb BLAS/platform
 reduction differences, far below any algorithmic drift.
+
+The engine kernels, the acoustic ranging campaigns and the registered
+scenarios' content addresses are pinned byte for byte instead: their
+outputs are deterministic functions of seeded inputs, so any drift at
+all fails.  On the same seeded stacks each NumPy kernel is also checked
+against its scalar reference (``multilaterate``, ``lss_error`` /
+``lss_gradient`` / ``_descend_scalar``, ``lss_localize`` and the scalar
+transform estimators), so a pin cannot freeze a wrong answer.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import evaluate_localization, trimmed_mean_error
+from _kernel_fixtures import (
+    local_lss_config,
+    local_map_stack,
+    multilateration_problems,
+    padded_problem_stack,
+    sha256_bytes,
+    shared_edge_problem,
+    transform_stacks,
+)
+from repro.core import (
+    LssConfig,
+    evaluate_localization,
+    lss_localize,
+    multilaterate,
+    trimmed_mean_error,
+)
+from repro.core.lss import _descend_scalar, lss_error, lss_gradient
+from repro.core.measurements import EdgeList
+from repro.core.transforms import (
+    estimate_transform_closed_form,
+    estimate_transform_minimize,
+    estimate_transforms_closed_form_batch,
+    estimate_transforms_minimize_batch,
+)
+from repro.engine import (
+    LocalLssProblem,
+    batch_lss_descend,
+    batch_lss_descend_padded,
+    batch_lss_error,
+    batch_lss_error_padded,
+    batch_lss_gradient,
+    batch_lss_gradient_padded,
+    lss_localize_multistart,
+    solve_local_lss_stack,
+    solve_multilateration_batch,
+)
 from repro.experiments import DEFAULT_SEED, run_experiment
 from repro.experiments.common import grid_positions
 
@@ -188,3 +233,422 @@ class TestAcousticRangingGolden:
         assert _sha256(payload) == (
             "6f21217276d9671bcafb9eb70c725695fdca42688cf199872011319ee2606a5c"
         )
+
+
+# ---------------------------------------------------------------------------
+# Engine kernel byte pins
+# ---------------------------------------------------------------------------
+
+#: SHA-256 pins of every public kernel's output on the seeded fixture
+#: stacks (``tests/_kernel_fixtures.py``); the kernels must reproduce
+#: them byte for byte.
+GOLDEN_PINS = {
+    "solve_multilateration_batch": "dc6ac928c2665b073a5cbcbda3b3669bff8aa0d83acaf9c4e98b2b20cb179410",
+    "batch_lss_error": "0d60c673a5fa6682b060bdbbb9bd10b239ea58d60a7e5b9bb2c42161e211b23c",
+    "batch_lss_gradient": "5a59e8d691bcaa653d5778752a1334903f10c39ba88a808428db28986cb08af8",
+    "batch_lss_descend": "bca7202ccac7fc6b027646e3145f9b56ca28c02a92e09884d4b121040bebaa40",
+    # Frozen later, on the commit before the descents began computing
+    # pair geometry once per epoch (the entries above cover no
+    # constraint pruning or mixed accept/reject row selection).
+    "batch_lss_descend_constrained": "e7224951c042d54109fc957dbf39c7b69d8c7271214b2d22632503f438ff1765",
+    "batch_lss_error_padded": "64911a43bd5f65ff91b76b64a33d46faa5fa0384a66d6514e047f18c93ae1dd6",
+    "batch_lss_gradient_padded": "69df36262dc245c209a3cb583c8ecd808e85b80b396be6b22b7fe698da2fc027",
+    "batch_lss_descend_padded": "2217390fc11f4d46e35c0086ae817c108ce1312f8791733e55794ecff1e8156c",
+    "solve_local_lss_stack": "a9fdead66118b355d4043e8287bf8feb62c90ae06c6c2c31ba6c199f348451d1",
+    "estimate_transforms_closed_form_batch": "0fa251e18f70e9d6de1c7a0da5dd1e666cec96266586c0c436005c23a49eb6e5",
+}
+
+
+def _run_shared_edge():
+    edges, configs, free_mask = shared_edge_problem()
+    error = batch_lss_error(configs, edges)
+    grad = batch_lss_gradient(configs, edges)
+    pts, err, conv = batch_lss_descend(
+        configs,
+        edges,
+        None,
+        min_spacing_m=None,
+        constraint_weight=10.0,
+        step_size=0.02,
+        max_epochs=200,
+        tolerance=1e-7,
+        free_mask=free_mask,
+    )
+    return error, grad, pts, err, conv
+
+
+def _run_shared_edge_constrained():
+    """The shared fixture with every unmeasured pair under the
+    min-spacing constraint: mixes violated and slack pairs, and epochs
+    where some configurations accept their step while others reject it
+    (node 0 stays pinned).  Returns the descent plus its error traces."""
+    edges, configs, free_mask = shared_edge_problem()
+    n_nodes = configs.shape[1]
+    measured = set(map(tuple, edges.pairs.tolist()))
+    constraint_pairs = np.array(
+        [
+            (i, j)
+            for i in range(n_nodes)
+            for j in range(i + 1, n_nodes)
+            if (i, j) not in measured
+        ],
+        dtype=np.int64,
+    )
+    traces = [[] for _ in range(configs.shape[0])]
+    pts, err, conv = batch_lss_descend(
+        configs,
+        edges,
+        constraint_pairs,
+        min_spacing_m=5.0,
+        constraint_weight=10.0,
+        step_size=0.02,
+        max_epochs=200,
+        tolerance=1e-7,
+        free_mask=free_mask,
+        traces=traces,
+    )
+    return pts, err, conv, np.concatenate([np.asarray(t) for t in traces])
+
+
+def _run_padded():
+    problem = padded_problem_stack()
+    stacks = (problem["configs"], problem["pairs"], problem["dists"], problem["weights"])
+    kwargs = dict(
+        constraint_pairs=problem["constraint_pairs"],
+        constraint_valid=problem["constraint_valid"],
+        min_spacing_m=problem["min_spacing_m"],
+    )
+    error = batch_lss_error_padded(*stacks, **kwargs)
+    grad = batch_lss_gradient_padded(*stacks, **kwargs)
+    pts, err, conv = batch_lss_descend_padded(
+        *stacks, step_size=0.02, max_epochs=200, tolerance=1e-7, **kwargs
+    )
+    return error, grad, pts, err, conv
+
+
+def _run_localmaps():
+    problems = [
+        LocalLssProblem(
+            n_nodes=p["n_nodes"],
+            edges=EdgeList(
+                pairs=p["pairs"], distances=p["distances"], weights=p["weights"]
+            ),
+            initial=p["initial"],
+        )
+        for p in local_map_stack()
+    ]
+    return solve_local_lss_stack(
+        problems, config=local_lss_config(), rng=np.random.default_rng(7)
+    )
+
+
+class TestGoldenPins:
+    """Every public engine kernel reproduces its pinned bytes."""
+
+    def test_multilateration_pin(self):
+        pos, solved, residuals = solve_multilateration_batch(*multilateration_problems())
+        assert (
+            sha256_bytes(pos, solved, residuals)
+            == GOLDEN_PINS["solve_multilateration_batch"]
+        )
+
+    def test_shared_edge_pins(self):
+        error, grad, pts, err, conv = _run_shared_edge()
+        assert sha256_bytes(error) == GOLDEN_PINS["batch_lss_error"]
+        assert sha256_bytes(grad) == GOLDEN_PINS["batch_lss_gradient"]
+        assert sha256_bytes(pts, err, conv) == GOLDEN_PINS["batch_lss_descend"]
+
+    def test_constrained_descent_pin(self):
+        assert (
+            sha256_bytes(*_run_shared_edge_constrained())
+            == GOLDEN_PINS["batch_lss_descend_constrained"]
+        )
+
+    def test_padded_pins(self):
+        error, grad, pts, err, conv = _run_padded()
+        assert sha256_bytes(error) == GOLDEN_PINS["batch_lss_error_padded"]
+        assert sha256_bytes(grad) == GOLDEN_PINS["batch_lss_gradient_padded"]
+        assert sha256_bytes(pts, err, conv) == GOLDEN_PINS["batch_lss_descend_padded"]
+
+    def test_localmaps_pin(self):
+        solutions = _run_localmaps()
+        digest = sha256_bytes(
+            np.concatenate([s.positions.ravel() for s in solutions]),
+            np.array([s.error for s in solutions]),
+            np.array([s.stress for s in solutions]),
+            np.array([s.converged for s in solutions]),
+        )
+        assert digest == GOLDEN_PINS["solve_local_lss_stack"]
+
+    def test_transforms_pin(self):
+        estimates = estimate_transforms_closed_form_batch(*transform_stacks())
+        digest = sha256_bytes(
+            np.stack([e.matrix for e in estimates]),
+            np.array([e.error for e in estimates]),
+        )
+        assert digest == GOLDEN_PINS["estimate_transforms_closed_form_batch"]
+
+
+class TestMinimizeBatchMatchesScalar:
+    """The batched analytic-argmin minimizer must agree with the scalar
+    Nelder-Mead path it replaces (the per-pair ``scipy.optimize`` call)."""
+
+    def test_against_scalar_minimize(self):
+        sources, targets, valid = transform_stacks()
+        batch = estimate_transforms_minimize_batch(sources, targets, valid)
+        for p, est in enumerate(batch):
+            pts = valid[p]
+            scalar = estimate_transform_minimize(sources[p][pts], targets[p][pts])
+            assert est.error == pytest.approx(scalar.error, rel=1e-7, abs=1e-9)
+            if int(pts.sum()) >= 3:
+                np.testing.assert_allclose(est.matrix, scalar.matrix, atol=1e-6)
+
+
+def _padded_problem_edges(problem, b):
+    """Problem *b* of a padded stack as the scalar path sees it: its
+    real edge slots and its valid constraint pairs."""
+    real = problem["weights"][b] > 0
+    edges = EdgeList(
+        pairs=problem["pairs"][b][real],
+        distances=problem["dists"][b][real],
+        weights=problem["weights"][b][real],
+    )
+    constraints = None
+    if problem["constraint_pairs"] is not None:
+        constraints = problem["constraint_pairs"][b][problem["constraint_valid"][b]]
+    return edges, constraints
+
+
+def _transform_action(estimate, source, valid):
+    """Where a transform sends the valid source points (homogeneous)."""
+    pts = source[valid]
+    homogeneous = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    return homogeneous @ estimate.matrix
+
+
+class TestKernelsMatchScalarReference:
+    """On the pinned fixture stacks every NumPy kernel agrees with the
+    scalar reference path, with identical boolean decisions (solved and
+    converged flags)."""
+
+    def test_multilateration(self):
+        anchor_sets, dist_sets, weight_sets = multilateration_problems()
+        pos, solved, residuals = solve_multilateration_batch(
+            anchor_sets, dist_sets, weight_sets
+        )
+        for b, (anchors, dists, weights) in enumerate(
+            zip(anchor_sets, dist_sets, weight_sets)
+        ):
+            # Every fixture problem is solvable: the scalar path returns
+            # a result rather than raising, and the batch flags it solved.
+            reference = multilaterate(anchors, dists, weights=weights)
+            assert solved[b]
+            # The batch finishes near-converged stragglers with a
+            # different scalar reduction order: positions agree to
+            # descent tolerance, residuals tightly.
+            np.testing.assert_allclose(pos[b], reference.position, atol=1e-6)
+            assert residuals[b] == pytest.approx(reference.residual, rel=1e-9)
+
+    def test_shared_edge_kernels(self):
+        edges, configs, free_mask = shared_edge_problem()
+        error, grad, pts, err, conv = _run_shared_edge()
+        config = LssConfig(
+            min_spacing_m=None, step_size=0.02, max_epochs=200, tolerance=1e-7
+        )
+        for b in range(configs.shape[0]):
+            assert error[b] == pytest.approx(lss_error(configs[b], edges), rel=1e-12)
+            np.testing.assert_array_equal(grad[b], lss_gradient(configs[b], edges))
+            ref_pts, ref_err, ref_conv = _descend_scalar(
+                configs[b].copy(), edges, None, config, [], free_mask
+            )
+            np.testing.assert_array_equal(pts[b], ref_pts)
+            assert err[b] == pytest.approx(ref_err, rel=1e-12)
+            assert bool(conv[b]) == ref_conv
+
+    def test_padded_kernels(self):
+        problem = padded_problem_stack()
+        error, grad, pts, err, conv = _run_padded()
+        spacing = problem["min_spacing_m"]
+        config = LssConfig(
+            min_spacing_m=spacing, step_size=0.02, max_epochs=200, tolerance=1e-7
+        )
+        for b, n in enumerate(problem["sizes"]):
+            edges, constraints = _padded_problem_edges(problem, b)
+            initial = problem["configs"][b, :n]
+            kwargs = dict(constraint_pairs=constraints, min_spacing_m=spacing)
+            assert error[b] == pytest.approx(
+                lss_error(initial, edges, **kwargs), rel=1e-12
+            )
+            np.testing.assert_allclose(
+                grad[b, :n], lss_gradient(initial, edges, **kwargs), atol=1e-12
+            )
+            assert np.all(grad[b, n:] == 0.0)
+            ref_pts, ref_err, ref_conv = _descend_scalar(
+                initial.copy(), edges, constraints, config, [], np.ones(n, dtype=bool)
+            )
+            np.testing.assert_allclose(pts[b, :n], ref_pts, atol=1e-9)
+            assert err[b] == pytest.approx(ref_err, rel=1e-9, abs=1e-15)
+            assert bool(conv[b]) == ref_conv
+
+    def test_localmaps(self):
+        solutions = _run_localmaps()
+        # The stack consumes each problem's restart draws in
+        # problem-major order from one generator, as sequential
+        # ``lss_localize`` calls sharing that generator do.
+        reference_rng = np.random.default_rng(7)
+        for p, solution in zip(local_map_stack(), solutions):
+            edges = EdgeList(
+                pairs=p["pairs"], distances=p["distances"], weights=p["weights"]
+            )
+            reference = lss_localize(
+                edges,
+                p["n_nodes"],
+                config=local_lss_config(),
+                initial=p["initial"],
+                rng=reference_rng,
+            )
+            assert solution.converged == reference.converged
+            assert solution.error == pytest.approx(reference.error, rel=1e-9)
+            np.testing.assert_allclose(
+                solution.positions, reference.positions, atol=1e-9
+            )
+
+    def test_transforms_closed_form(self):
+        sources, targets, valid = transform_stacks()
+        estimates = estimate_transforms_closed_form_batch(sources, targets, valid)
+        for p, est in enumerate(estimates):
+            pts = valid[p]
+            reference = estimate_transform_closed_form(sources[p][pts], targets[p][pts])
+            assert est.error == pytest.approx(reference.error, rel=1e-9, abs=1e-12)
+            if int(pts.sum()) >= 3:
+                np.testing.assert_allclose(est.matrix, reference.matrix, atol=1e-9)
+            else:
+                # Two correspondences tie the rotation and reflection
+                # branches; the winner may flip with summation order, so
+                # compare where the transforms send the points.
+                np.testing.assert_allclose(
+                    _transform_action(est, sources[p], pts),
+                    _transform_action(reference, sources[p], pts),
+                    atol=1e-6,
+                )
+
+
+class TestKernelPropertyInvariance:
+    """Randomized stacks: a problem's result does not depend on what
+    else shares its batch, and the batched kernels make the scalar
+    reference's decisions (converged flags, which multistart wins)."""
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=12, deadline=None)
+    def test_padded_converged_masks_match_scalar_reference(self, seed):
+        problem = padded_problem_stack(seed=seed)
+        spacing = problem["min_spacing_m"]
+        pts, _, conv = batch_lss_descend_padded(
+            problem["configs"],
+            problem["pairs"],
+            problem["dists"],
+            problem["weights"],
+            constraint_pairs=problem["constraint_pairs"],
+            constraint_valid=problem["constraint_valid"],
+            min_spacing_m=spacing,
+            max_epochs=600,
+        )
+        config = LssConfig(min_spacing_m=spacing, max_epochs=600)
+        for b, n in enumerate(problem["sizes"]):
+            edges, constraints = _padded_problem_edges(problem, b)
+            ref_pts, _, ref_conv = _descend_scalar(
+                problem["configs"][b, :n].copy(),
+                edges,
+                constraints,
+                config,
+                [],
+                np.ones(n, dtype=bool),
+            )
+            assert bool(conv[b]) == ref_conv
+            # 600 epochs compound the reduction-order difference of the
+            # flat objective to ~1e-8 m; positions agree to descent
+            # tolerance.
+            np.testing.assert_allclose(pts[b, :n], ref_pts, atol=1e-6)
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=12, deadline=None)
+    def test_padded_problem_is_byte_identical_alone_or_stacked(self, seed):
+        problem = padded_problem_stack(seed=seed)
+        stacks = ("configs", "pairs", "dists", "weights")
+
+        def run(rows):
+            masks = {}
+            if problem["constraint_pairs"] is not None:
+                masks = dict(
+                    constraint_pairs=problem["constraint_pairs"][rows],
+                    constraint_valid=problem["constraint_valid"][rows],
+                )
+            return batch_lss_descend_padded(
+                *(problem[name][rows] for name in stacks),
+                min_spacing_m=problem["min_spacing_m"],
+                max_epochs=600,
+                **masks,
+            )
+
+        # 600 epochs let most problems converge at different epochs, so
+        # the stacked run compacts finished rows out while others go on.
+        stacked = run(slice(None))
+        for b in range(len(problem["sizes"])):
+            alone = run(slice(b, b + 1))
+            assert sha256_bytes(*(out[0] for out in alone)) == sha256_bytes(
+                *(out[b] for out in stacked)
+            )
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_multistart_matches_sequential_runs(self, seed):
+        edges, _, _ = shared_edge_problem(seed=seed, n_nodes=7)
+        config = LssConfig(restarts=2, max_epochs=100, min_spacing_m=1.5)
+        seeds = [seed, seed + 1, seed + 2]
+        stacked = lss_localize_multistart(edges, 7, config=config, seeds=seeds)
+        sequential = [lss_localize(edges, 7, config=config, rng=s) for s in seeds]
+        for result, reference in zip(stacked, sequential):
+            np.testing.assert_array_equal(result.positions, reference.positions)
+            assert result.converged == reference.converged
+            assert result.epochs_run == reference.epochs_run
+            # Equal positions; the final objective is summed over the
+            # stack in one case and one configuration in the other.
+            assert result.error == pytest.approx(reference.error, rel=1e-12)
+        errors = np.array([r.error for r in stacked])
+        ranked = np.sort(errors)
+        if ranked[1] - ranked[0] > 1e-9 * max(ranked[1], 1e-12):
+            assert int(np.argmin(errors)) == int(
+                np.argmin([r.error for r in sequential])
+            )
+
+
+class TestScenarioContentAddresses:
+    """``spec_hash()`` of every registered scenario is the key of its
+    store entries and shard keys; a spec-schema change that moves one
+    would orphan every cached campaign of that scenario."""
+
+    SPEC_HASHES = {
+        "acoustic-grass-grid": "5f537183b5374a5a8a3ba81320b1536481afe977268391e6c77f0be27d4bf492",
+        "acoustic-urban-grid": "b6680078b31c0aeb8146e90a5dd54c333bf723e7d8633ba634665893aa8993ac",
+        "grid-distributed-lss": "0fb3a95bf9e7d6b86899d6cb9ecf4057ed4090437ddea550430c51c0b6ad79c7",
+        "paper-grid-multilateration": "ab5df684cdc39504d88cab41a81ee96f993468c3bb144010d37ca6f0913baa45",
+        "town-distributed-lss": "c217927425f09e1116204079e07580e630ff6a376c2be49135b4e123f0ff415b",
+        "town-lss": "f3f69ea234cce58ed6d2e0dc658f0b1d89329f6f7714eb3880e331043158eae3",
+        "town-multilateration": "3e18434e8b617148b7e8c282346e4e71b0f445f4ea9778ed4329ff628f939228",
+        "uniform-dense-multilateration": "bc44f42e5f4f1cd96fb4991f07bbbcef452ce091910c41da3038c02a9c893a1d",
+        "uniform-dv-hop": "44815fa6c24a0030c15ba0aeb5b98f6422091efdc17cc0ece3cb9cca67318446",
+        "uniform-multilateration": "fdc1471813ba84adb9784bdb692cafe8a7cf238f417e41ca1e67759a3d647519",
+        "uniform-noisy-multilateration": "ae0fddf61f01ed5bde6482ac041153b6538f15d570a2db6473d0b4b2948d062e",
+        "uniform-sparse-multilateration": "de792b18386ad1c072d0e324243e7cf159632670052a8b2818de79c5ce991f7c",
+    }
+
+    def test_every_registered_scenario_is_pinned(self):
+        from repro.scenarios import all_scenarios
+
+        assert sorted(all_scenarios()) == sorted(self.SPEC_HASHES)
+
+    @pytest.mark.parametrize("name", sorted(SPEC_HASHES))
+    def test_registered_scenarios_keep_their_hashes(self, name):
+        from repro.scenarios import get_scenario
+
+        assert get_scenario(name).spec_hash() == self.SPEC_HASHES[name]

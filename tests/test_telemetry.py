@@ -121,6 +121,26 @@ class TestTraceRecorder:
         assert rec.spans[0]["attrs"] == {"kind": "leaf"}
         assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in rec.spans)
 
+    def test_span_exited_by_exception_records_error(self):
+        rec = TraceRecorder()
+        with pytest.raises(KeyError):
+            with rec.span("a"):
+                with rec.span("b"):
+                    raise KeyError("boom")
+        assert [(s["path"], s["error"]) for s in rec.spans] == [
+            ("a/b", "KeyError"),
+            ("a", "KeyError"),
+        ]
+        for span in rec.spans:
+            validate_record(span)
+
+    def test_successful_span_has_no_error_field(self):
+        rec = TraceRecorder()
+        with rec.span("a", kind="leaf"):
+            pass
+        (span,) = rec.spans
+        assert list(span) == ["type", "name", "path", "wall_s", "cpu_s", "attrs", "seq"]
+
     def test_add_span_under_override(self):
         rec = TraceRecorder()
         rec.add_span("chunk", 0.25, 0.20, under="campaign", index=1)
@@ -431,6 +451,15 @@ class TestSchemaValidation:
         self._write_lines(path, records)
         with pytest.raises(ValidationError, match="schema version"):
             read_trace(path)
+
+    def test_span_error_must_be_a_non_empty_string(self):
+        rec = TraceRecorder()
+        with rec.span("a"):
+            pass
+        (span,) = rec.spans
+        for bad in ("", 3):
+            with pytest.raises(ValidationError, match="error"):
+                validate_record({**span, "error": bad})
 
     def test_manifest_must_come_first(self):
         records = self._valid_records()
