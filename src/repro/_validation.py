@@ -20,7 +20,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_ranges",
+    "check_measurements",
     "ensure_rng",
 ]
 
@@ -81,21 +81,53 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_ranges(distances: np.ndarray, weights: np.ndarray) -> None:
-    """Reject non-finite or negative distances and weights.
+def check_measurements(pairs, distances, weights=None) -> None:
+    """Reject malformed range measurements.
 
-    The scalar and batched multilateration paths both call this, so
-    they accept and reject the same inputs.  The message names the
-    first bad entry's index.
+    This is the one validation boundary for measurements: every
+    :class:`~repro.core.measurements.MeasurementSet` append path,
+    :class:`~repro.core.measurements.EdgeList` construction, and both
+    multilateration paths (scalar and batched, with ``pairs=None``)
+    call it, so they accept and reject the same inputs.  It rejects
+    *pairs* not of shape ``(m, 2)``, self-pairs and negative node ids;
+    *distances* and *weights* not of the pairs' shape ``(m,)``; and
+    non-finite or negative distances and weights.  The message names
+    the first bad row (an index list for stacked arrays) and the reason.
     """
-    for name, values in (("distances", distances), ("weights", weights)):
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if bad.any():
-            index = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"{name} must be finite and non-negative; got "
-                f"{values[tuple(index)]!r} at index {index.tolist()}"
-            )
+    columns = [("distances", np.asarray(distances, dtype=float))]
+    if weights is not None:
+        columns.append(("weights", np.asarray(weights, dtype=float)))
+    ok = True
+    if pairs is not None:
+        pairs = np.asarray(pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(f"pairs must have shape (m, 2); got {pairs.shape}")
+        for name, values in columns:
+            if values.shape != (pairs.shape[0],):
+                raise ValidationError(
+                    f"{name} must have shape ({pairs.shape[0]},) to match pairs; "
+                    f"got {values.shape}"
+                )
+        ok = pairs.shape[0] == 0 or ((pairs[:, 0] != pairs[:, 1]).all() and pairs.min() >= 0)
+    if ok and all(
+        values.size == 0 or (values.min() >= 0.0 and values.max() < np.inf)
+        for _, values in columns
+    ):
+        return
+    checks = [
+        (~(np.isfinite(values) & (values >= 0.0)), f"{name} must be finite and non-negative", name)
+        for name, values in columns
+    ]
+    if pairs is not None:
+        checks[:0] = [
+            (pairs[:, 0] == pairs[:, 1], "source and receiver must differ", "pair"),
+            ((pairs < 0).any(axis=1), "node ids must be non-negative", "pair"),
+        ]
+    where = tuple(np.argwhere(np.logical_or.reduce([mask for mask, _, _ in checks]))[0].tolist())
+    reason, column = next((reason, column) for mask, reason, column in checks if mask[where])
+    got = tuple(pairs[where].tolist()) if column == "pair" else float(dict(columns)[column][where])
+    row = where[0] if len(where) == 1 else list(where)
+    raise ValidationError(f"row {row}: {reason}; got {got!r}")
 
 
 def ensure_rng(rng=None) -> np.random.Generator:

@@ -18,12 +18,9 @@ SNR(d) = RL(d) - noise_floor feeds the tone-detector hit probability.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_positive
 from .environment import Environment
 
 __all__ = [

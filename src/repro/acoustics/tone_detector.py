@@ -17,7 +17,6 @@ noise bursts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -22,33 +22,17 @@ followed by the library's standard multilateration.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
-from .multilateration import NetworkLocalization, multilaterate
+from .measurements import EdgeList, as_edge_list
+from .multilateration import NetworkLocalization, _pad_rows, multilaterate
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
-
-
-def _edges_of(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
-    if len(edges) == 0:
-        raise InsufficientDataError("no measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    return edges
 
 
 def _graph_matrix(edges: EdgeList, n_nodes: int, unit_weights: bool) -> csr_matrix:
@@ -104,49 +88,33 @@ def _aps_localize(
     for a in anchor_ids:
         positions[a] = anchors[a]
         is_anchor[a] = True
+    usable = np.isfinite(distances_to_anchors) & ~is_anchor[:, None]
+    counts = usable.sum(axis=1)
+    anchors_per_node[~is_anchor] = counts[~is_anchor]
+    prob_nodes = np.flatnonzero(counts >= min_anchors)
     if solver == "gradient":
         from ..engine.batch import solve_multilateration_batch
 
-        prob_nodes = []
-        anchor_sets = []
-        dist_sets = []
-        for node in range(n_nodes):
-            if is_anchor[node]:
-                continue
-            dists = distances_to_anchors[node]
-            usable = np.isfinite(dists)
-            anchors_per_node[node] = usable.sum()
-            if usable.sum() < min_anchors:
-                continue
-            prob_nodes.append(node)
-            anchor_sets.append(anchor_xy[usable])
-            dist_sets.append(dists[usable])
-        if prob_nodes:
-            weight_sets = [np.ones(d.shape[0]) for d in dist_sets]
-            solved_pos, solved, _ = solve_multilateration_batch(
-                anchor_sets,
-                dist_sets,
-                weight_sets,
-                min_anchors=min_anchors,
-                consistency_check=False,
+        if prob_nodes.size:
+            row, col = np.nonzero(usable[prob_nodes])
+            valid, (xy, dists, weights) = _pad_rows(
+                row,
+                prob_nodes.size,
+                anchor_xy[col],
+                distances_to_anchors[prob_nodes[row], col],
+                np.ones(row.shape[0]),
             )
-            for node, pos, ok in zip(prob_nodes, solved_pos, solved):
-                if ok:
-                    positions[node] = pos
+            solved_pos, solved, _ = solve_multilateration_batch(
+                xy, dists, weights, valid, min_anchors=min_anchors, consistency_check=False
+            )
+            positions[prob_nodes[solved]] = solved_pos[solved]
     else:
         per_node_solver = "gradient" if solver == "scalar" else solver
-        for node in range(n_nodes):
-            if is_anchor[node]:
-                continue
-            dists = distances_to_anchors[node]
-            usable = np.isfinite(dists)
-            anchors_per_node[node] = usable.sum()
-            if usable.sum() < min_anchors:
-                continue
+        for node in prob_nodes:
             try:
                 result = multilaterate(
-                    anchor_xy[usable],
-                    dists[usable],
+                    anchor_xy[usable[node]],
+                    distances_to_anchors[node, usable[node]],
                     consistency_check=False,
                     solver=per_node_solver,
                     min_anchors=min_anchors,
@@ -189,7 +157,7 @@ def dv_hop_localize(
         in one masked-array solve; ``"scalar"`` is its per-node
         reference path.
     """
-    edges = _edges_of(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
     anchors = _check_anchors(anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
 
@@ -218,16 +186,10 @@ def dv_hop_localize(
     meters_per_hop = np.where(np.isfinite(meters_per_hop), meters_per_hop, fallback)
 
     # In the real protocol a node uses the correction of the nearest
-    # anchor (the first it hears from); emulate that.
-    distances = np.full((n_nodes, len(anchor_ids)), np.nan)
-    for node in range(n_nodes):
-        node_hops = hops[:, node]
-        finite = np.isfinite(node_hops)
-        if not np.any(finite):
-            continue
-        nearest = int(np.nanargmin(node_hops))
-        correction = meters_per_hop[nearest]
-        distances[node, finite] = node_hops[finite] * correction
+    # anchor (the first it hears from); emulate that.  Unreachable
+    # anchors (infinite hop counts) leave NaN distances.
+    nearest = np.argmin(hops, axis=0)
+    distances = np.where(np.isfinite(hops), hops * meters_per_hop[nearest], np.nan).T
     return _aps_localize(distances, anchors, n_nodes, min_anchors, solver)
 
 
@@ -246,7 +208,7 @@ def dv_distance_localize(
     estimates are upper bounds on the true Euclidean distance (paths
     bend), which is exactly the anisotropy failure mode.
     """
-    edges = _edges_of(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
     anchors = _check_anchors(anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
     dist_graph = _graph_matrix(edges, n_nodes, unit_weights=False)

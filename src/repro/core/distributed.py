@@ -47,7 +47,6 @@ pin the agreement and the speedup.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,7 +57,7 @@ from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationEr
 from .geometry import apply_transform, compose_transforms
 from .lss import LssConfig, lss_localize
 from .mds import mds_map
-from .measurements import EdgeList, MeasurementSet
+from .measurements import EdgeList, as_edge_list
 from .transforms import TransformEstimate, estimate_transform
 
 __all__ = [
@@ -188,22 +187,6 @@ class DistributedResult:
     local_maps: Dict[int, LocalMap]
     transforms: Dict[Tuple[int, int], TransformEstimate]
     parents: Dict[int, Optional[int]]
-
-
-def _as_edges(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
-    if len(edges) == 0:
-        raise InsufficientDataError("no distance measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    return edges
 
 
 def _neighborhood_problems(
@@ -379,7 +362,7 @@ def build_local_maps(
     """
     config = config if config is not None else DistributedConfig()
     rng = ensure_rng(rng)
-    edges = _as_edges(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
     problems = _neighborhood_problems(edges, n_nodes)
     batchable = config.effective_local_lss.backend in ("gd", "gd-scalar")
     if config.solver == "scalar" or not batchable:

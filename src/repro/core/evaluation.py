@@ -12,13 +12,13 @@ the global frame and no alignment is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validation import as_positions
 from ..errors import ValidationError
-from .transforms import TransformEstimate, estimate_transform_minimize, estimate_transform_closed_form
+from .transforms import estimate_transform_minimize, estimate_transform_closed_form
 
 __all__ = [
     "align_to_reference",

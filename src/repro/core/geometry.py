@@ -13,11 +13,11 @@ translation (Section 4.3.1 of the paper).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .._validation import as_positions, check_non_negative, check_positive
+from .._validation import as_positions, check_non_negative
 from ..errors import ValidationError
 
 __all__ = [

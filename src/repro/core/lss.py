@@ -36,8 +36,8 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .._validation import as_positions, check_non_negative, check_positive, ensure_rng
-from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
+from ..errors import ValidationError
+from .measurements import EdgeList, as_edge_list
 
 __all__ = [
     "LssConfig",
@@ -147,23 +147,6 @@ class LssResult:
     round_boundaries: List[int] = field(default_factory=list)
     epochs_run: int = 0
     converged: bool = False
-
-
-def _prepare_edges(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            "measurements must be a MeasurementSet or EdgeList; "
-            f"got {type(measurements)!r}"
-        )
-    if len(edges) == 0:
-        raise InsufficientDataError("no distance measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    return edges
 
 
 def _constraint_pairs(n_nodes: int, measured_pairs: np.ndarray) -> np.ndarray:
@@ -406,7 +389,7 @@ def lss_localize(
     """
     config = config if config is not None else LssConfig()
     rng = ensure_rng(rng)
-    edges = _prepare_edges(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
 
     constraint_pairs = None
     if config.min_spacing_m is not None:
@@ -520,7 +503,7 @@ def lss_localize_robust(
     if max_trim_rounds < 0:
         raise ValidationError("max_trim_rounds must be non-negative")
     rng = ensure_rng(rng)
-    edges = _prepare_edges(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
     result = lss_localize(edges, n_nodes, config=config, rng=rng, **kwargs)
     for _ in range(max_trim_rounds):
         diff = result.positions[edges.pairs[:, 0]] - result.positions[edges.pairs[:, 1]]

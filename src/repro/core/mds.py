@@ -15,15 +15,13 @@ Shang & Ruml's MDS-based localization [18, 19]):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .._validation import as_finite_array
-from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
+from ..errors import GraphDisconnectedError, ValidationError
+from .measurements import as_edge_list
 
 __all__ = ["classical_mds", "complete_distances", "mds_map"]
 
@@ -71,16 +69,7 @@ def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     does not connect all *n_nodes* nodes (shortest-path completion is
     then impossible for some pairs).
     """
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
-    if len(edges) == 0:
-        raise InsufficientDataError("no measurements to complete")
+    edges = as_edge_list(measurements, nonempty=True)
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
     rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])

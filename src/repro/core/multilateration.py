@@ -23,17 +23,16 @@ available as the ``solver="scalar"`` reference path.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .._validation import as_positions, check_positive, check_ranges, ensure_rng
+from .._validation import as_positions, check_measurements, check_positive
 from ..errors import InsufficientDataError, ValidationError
 from .geometry import all_pairs_circle_intersections, is_collinear
-from .measurements import EdgeList, MeasurementSet
+from .measurements import as_edge_list
 
 __all__ = [
     "MultilaterationResult",
@@ -218,7 +217,7 @@ def multilaterate(
         w = np.asarray(weights, dtype=float)
         if w.shape != (anchors.shape[0],):
             raise ValidationError("weights must have one entry per anchor")
-    check_ranges(dists, w)
+    check_measurements(None, dists, w)
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
     if anchors.shape[0] < min_anchors:
@@ -310,6 +309,27 @@ class NetworkLocalization:
         return float(self.anchors_per_node[non_anchor].mean())
 
 
+def _pad_rows(row: np.ndarray, n_rows: int, *columns: np.ndarray):
+    """Scatter flat entries into zero-padded ``(n_rows, width)`` rows.
+
+    *row* gives each entry's row and must be sorted; entries keep their
+    order within a row, and *width* is the largest row's count.
+    Returns the ``(n_rows, width)`` validity mask and the padded
+    columns, for :func:`~repro.engine.batch.solve_multilateration_batch`.
+    """
+    counts = np.bincount(row, minlength=n_rows)
+    slot = np.arange(row.shape[0]) - (np.cumsum(counts) - counts)[row]
+    width = int(counts.max(initial=0))
+    valid = np.zeros((n_rows, width), dtype=bool)
+    valid[row, slot] = True
+    padded = []
+    for column in columns:
+        out = np.zeros((n_rows, width) + column.shape[1:])
+        out[row, slot] = column
+        padded.append(out)
+    return valid, padded
+
+
 def localize_network(
     measurements,
     anchor_positions: Dict[int, Sequence[float]],
@@ -352,17 +372,9 @@ def localize_network(
         intermediate estimates flip a collinearity or consistency
         verdict) the two paths' coverage can differ at the margin.
     """
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            "measurements must be a MeasurementSet or EdgeList; "
-            f"got {type(measurements)!r}"
-        )
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
+    edges = as_edge_list(measurements, n_nodes)
     if solver not in ("gradient", "scalar", "lm"):
         raise ValidationError(f"unknown solver {solver!r}")
     if min_anchors < 3:
@@ -371,22 +383,24 @@ def localize_network(
         if not 0 <= int(node_id) < n_nodes:
             raise ValidationError(f"anchor id {node_id} outside [0, {n_nodes})")
 
-    # Distance lookup per node: node -> list of (partner, distance, weight)
-    adjacency: Dict[int, List[Tuple[int, float, float]]] = {i: [] for i in range(n_nodes)}
-    for (i, j), d, w in zip(edges.pairs, edges.distances, edges.weights):
-        adjacency[int(i)].append((int(j), float(d), float(w)))
-        adjacency[int(j)].append((int(i), float(d), float(w)))
+    # CSR adjacency: every edge contributes a link at both endpoints; a
+    # stable sort by endpoint keeps each node's links in edge order.
+    ends = edges.pairs.reshape(-1)
+    order = np.argsort(ends, kind="stable")
+    link_node = ends[order]
+    link_partner = edges.pairs[:, ::-1].reshape(-1)[order]
+    link_edge = order // 2
+    indptr = np.searchsorted(link_node, np.arange(n_nodes + 1))
 
     positions = np.full((n_nodes, 2), np.nan)
-    known: Dict[int, np.ndarray] = {}
     is_anchor = np.zeros(n_nodes, dtype=bool)
     for node_id, pos in anchor_positions.items():
         arr = np.asarray(pos, dtype=float)
         if arr.shape != (2,):
             raise ValidationError("anchor positions must be (x, y) pairs")
-        known[int(node_id)] = arr
         positions[int(node_id)] = arr
         is_anchor[int(node_id)] = True
+    known = is_anchor.copy()
 
     anchors_per_node = np.zeros(n_nodes)
     rounds = max_progressive_rounds if progressive else 1
@@ -394,66 +408,56 @@ def localize_network(
         progress = False
         if solver == "gradient":
             # Batched engine path: gather every pending node's anchor
-            # problem, solve the whole refinement round in one stacked
+            # links, solve the whole refinement round in one padded
             # masked-array descent, then promote (progressive) en bloc.
             from ..engine.batch import solve_multilateration_batch
 
-            prob_nodes: List[int] = []
-            anchor_sets: List[np.ndarray] = []
-            dist_sets: List[np.ndarray] = []
-            weight_sets: List[np.ndarray] = []
-            for node in range(n_nodes):
-                if node in known:
-                    continue
-                anchor_links = [
-                    (partner, d, w)
-                    for partner, d, w in adjacency[node]
-                    if partner in known
-                ]
-                anchors_per_node[node] = len(anchor_links)
-                if len(anchor_links) < min_anchors:
-                    continue
-                prob_nodes.append(node)
-                anchor_sets.append(np.asarray([known[p] for p, _, _ in anchor_links]))
-                dist_sets.append(np.asarray([d for _, d, _ in anchor_links]))
-                weight_sets.append(np.asarray([w for _, _, w in anchor_links]))
-            if prob_nodes:
+            usable = known[link_partner] & ~known[link_node]
+            counts = np.bincount(link_node[usable], minlength=n_nodes)
+            anchors_per_node[~known] = counts[~known]
+            enough = ~known & (counts >= min_anchors)
+            prob_nodes = np.flatnonzero(enough)
+            if prob_nodes.size:
+                take = usable & enough[link_node]
+                edge = link_edge[take]
+                valid, (anchor_xy, dists, weights) = _pad_rows(
+                    np.searchsorted(prob_nodes, link_node[take]),
+                    prob_nodes.size,
+                    positions[link_partner[take]],
+                    edges.distances[edge],
+                    edges.weights[edge],
+                )
                 solved_pos, solved, _ = solve_multilateration_batch(
-                    anchor_sets,
-                    dist_sets,
-                    weight_sets,
+                    anchor_xy,
+                    dists,
+                    weights,
+                    valid,
                     min_anchors=min_anchors,
                     consistency_check=consistency_check,
                     cluster_radius_m=cluster_radius_m,
                 )
-                for node, pos, ok in zip(prob_nodes, solved_pos, solved):
-                    if not ok:
-                        continue
-                    positions[node] = pos
-                    if progressive:
-                        known[node] = pos
-                        progress = True
+                done = prob_nodes[solved]
+                positions[done] = solved_pos[solved]
+                if progressive and done.size:
+                    known[done] = True
+                    progress = True
         else:
             per_node_solver = "gradient" if solver == "scalar" else solver
             for node in range(n_nodes):
-                if node in known:
+                if known[node]:
                     continue
-                anchor_links = [
-                    (partner, d, w)
-                    for partner, d, w in adjacency[node]
-                    if partner in known
-                ]
-                anchors_per_node[node] = len(anchor_links)
-                if len(anchor_links) < min_anchors:
+                links = slice(indptr[node], indptr[node + 1])
+                anchor_links = known[link_partner[links]]
+                partners = link_partner[links][anchor_links]
+                edge = link_edge[links][anchor_links]
+                anchors_per_node[node] = partners.size
+                if partners.size < min_anchors:
                     continue
-                anchor_xy = np.asarray([known[p] for p, _, _ in anchor_links])
-                dists = np.asarray([d for _, d, _ in anchor_links])
-                weights = np.asarray([w for _, _, w in anchor_links])
                 try:
                     result = multilaterate(
-                        anchor_xy,
-                        dists,
-                        weights=weights,
+                        positions[partners],
+                        edges.distances[edge],
+                        weights=edges.weights[edge],
                         consistency_check=consistency_check,
                         cluster_radius_m=cluster_radius_m,
                         solver=per_node_solver,
@@ -463,7 +467,7 @@ def localize_network(
                     continue
                 positions[node] = result.position
                 if progressive:
-                    known[node] = result.position
+                    known[node] = True
                     progress = True
         if not progressive or not progress:
             break
@@ -472,11 +476,8 @@ def localize_network(
     localized = np.all(np.isfinite(positions), axis=1)
     if progressive:
         # Final per-node anchor counts reflect the end state.
-        for node in range(n_nodes):
-            if not is_anchor[node]:
-                anchors_per_node[node] = sum(
-                    1 for partner, _, _ in adjacency[node] if localized[partner]
-                )
+        final = np.bincount(link_node[localized[link_partner]], minlength=n_nodes)
+        anchors_per_node[~is_anchor] = final[~is_anchor]
     return NetworkLocalization(
         positions=positions,
         localized=localized,

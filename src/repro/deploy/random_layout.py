@@ -11,8 +11,6 @@ qualitative topology (anisotropic, elongated clusters, moderate density,
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from .._validation import check_non_negative, check_positive, ensure_rng

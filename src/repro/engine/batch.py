@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from .._validation import check_ranges
+from .._validation import check_measurements
 from ..errors import ValidationError
 
 __all__ = [
@@ -429,9 +429,10 @@ def _batch_consistency_keep(
 
 
 def solve_multilateration_batch(
-    anchor_sets: Sequence[np.ndarray],
-    dist_sets: Sequence[np.ndarray],
-    weight_sets: Sequence[np.ndarray],
+    anchors: np.ndarray,
+    dists: np.ndarray,
+    weights: np.ndarray,
+    valid: np.ndarray,
     *,
     min_anchors: int = 3,
     consistency_check: bool = True,
@@ -440,17 +441,20 @@ def solve_multilateration_batch(
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a batch of heterogeneous multilateration problems at once.
+    """Solve a padded batch of heterogeneous multilateration problems.
 
-    Each problem ``b`` is (anchor_sets[b] of shape (k_b, 2),
-    dist_sets[b], weight_sets[b]).  Distances and weights must be finite
-    and non-negative (:class:`ValidationError` otherwise, as in the
-    scalar path).  Per problem this applies the same
-    pipeline as :func:`repro.core.multilaterate` with the gradient
-    solver: intersection consistency filter (falling back to the full
-    anchor set when fewer than *min_anchors* survive), collinearity
-    rejection, weighted-centroid initialization, adaptive gradient
-    descent.
+    Problem ``b`` is the slots of row ``b`` where ``valid[b]`` is true:
+    anchor positions ``anchors[b]`` of shape ``(K, 2)``, distances
+    ``dists[b]`` and weights ``weights[b]``, each of shape ``(K,)``.
+    Invalid slots are ignored.  Distances and weights in valid slots
+    must be finite and non-negative (:class:`ValidationError`
+    otherwise, as in the scalar path).  Per problem this applies the
+    same pipeline as :func:`repro.core.multilaterate` with the
+    gradient solver: intersection consistency filter (falling back to
+    the full anchor set when fewer than *min_anchors* survive),
+    collinearity rejection, weighted-centroid initialization, adaptive
+    gradient descent.  Rows packed valid-first and padded to the
+    largest count reproduce a per-problem stack bit for bit.
 
     Returns
     -------
@@ -461,27 +465,25 @@ def solve_multilateration_batch(
     residuals : ndarray of shape (B,)
         Final objective values (nan where unsolved).
     """
-    n_problems = len(anchor_sets)
+    valid = np.asarray(valid, dtype=bool)
+    if valid.ndim != 2:
+        raise ValidationError(f"valid must have shape (B, K); got {valid.shape}")
+    n_problems = valid.shape[0]
+    if np.shape(anchors) != valid.shape + (2,) or np.shape(dists) != valid.shape or (
+        np.shape(weights) != valid.shape
+    ):
+        raise ValidationError("anchors, dists and weights must match valid's (B, K) shape")
     positions = np.full((n_problems, 2), np.nan)
     residuals = np.full(n_problems, np.nan)
     solved = np.zeros(n_problems, dtype=bool)
     if n_problems == 0:
         return positions, solved, residuals
 
-    max_k = max(np.asarray(a).shape[0] for a in anchor_sets)
-    stacked_anchors = np.zeros((n_problems, max_k, 2))
-    stacked_dists = np.zeros((n_problems, max_k))
-    stacked_weights = np.zeros((n_problems, max_k))
-    valid = np.zeros((n_problems, max_k), dtype=bool)
-    for b in range(n_problems):
-        anchors = np.asarray(anchor_sets[b], dtype=float)
-        k = anchors.shape[0]
-        stacked_anchors[b, :k] = anchors
-        stacked_dists[b, :k] = np.asarray(dist_sets[b], dtype=float)
-        stacked_weights[b, :k] = np.asarray(weight_sets[b], dtype=float)
-        valid[b, :k] = True
-    # Padded slots hold zeros, which pass.
-    check_ranges(stacked_dists, stacked_weights)
+    stacked_anchors = np.where(valid[..., None], anchors, 0.0)
+    stacked_dists = np.where(valid, dists, 0.0)
+    stacked_weights = np.where(valid, weights, 0.0)
+    # Invalid slots hold zeros, which pass.
+    check_measurements(None, stacked_dists, stacked_weights)
 
     if consistency_check:
         keep = _batch_consistency_keep(
@@ -1121,9 +1123,9 @@ def lss_localize_multistart(
         LssConfig,
         LssResult,
         _constraint_pairs,
-        _prepare_edges,
         lss_error,
     )
+    from ..core.measurements import as_edge_list
     from .._validation import as_positions, ensure_rng
 
     config = config if config is not None else LssConfig()
@@ -1136,7 +1138,7 @@ def lss_localize_multistart(
         raise ValidationError("seeds must contain at least one entry")
     rngs = [ensure_rng(seed) for seed in seeds]
     n_batch = len(rngs)
-    edges = _prepare_edges(measurements, n_nodes)
+    edges = as_edge_list(measurements, n_nodes, nonempty=True)
 
     constraint_pairs = None
     if config.min_spacing_m is not None:

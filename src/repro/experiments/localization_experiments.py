@@ -16,8 +16,6 @@ fig25 — distributed LSS with 370 extra synthetic ranges
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 import numpy as np
 
 from .._validation import ensure_rng
@@ -28,13 +26,11 @@ from ..core import (
     evaluate_localization,
     intersection_consistency_filter,
     localize_network,
-    lss_localize,
     lss_localize_robust,
     trimmed_mean_error,
 )
-from ..core.measurements import MeasurementSet
 from ..deploy import parking_lot_layout, random_anchors, spread_anchors
-from ..ranging import augment_with_gaussian_ranges
+from ..ranging import augment_with_gaussian_ranges, gaussian_ranges
 from .base import ExperimentResult, ShapeCheck, register
 from .common import DEFAULT_SEED, grass_campaign_edges, grid_positions, root_near
 
@@ -103,14 +99,9 @@ def fig12_multilateration_small(seed: int = DEFAULT_SEED) -> ExperimentResult:
     anchor_idx = spread_anchors(positions, 5)
     anchor_positions = {int(i): positions[i] for i in anchor_idx}
 
-    measurements = MeasurementSet()
-    for a in anchor_idx:
-        for j in range(len(positions)):
-            if j in set(int(x) for x in anchor_idx):
-                continue
-            truth = float(np.hypot(*(positions[a] - positions[j])))
-            noisy = max(0.0, truth + float(rng.normal(0.0, 0.4)))
-            measurements.add_distance(int(a), int(j), noisy, true_distance=truth)
+    others = np.setdiff1d(np.arange(len(positions)), anchor_idx)
+    pairs = np.array([(a, j) for a in anchor_idx for j in others]).reshape(-1, 2)
+    measurements = gaussian_ranges(positions, sigma_m=0.4, pairs=pairs, rng=rng)
 
     result = localize_network(measurements, anchor_positions, len(positions))
     non_anchor = ~result.is_anchor
@@ -389,7 +380,6 @@ def fig20_multilateration_random(seed: int = DEFAULT_SEED) -> ExperimentResult:
         ],
         extras={"result": result, "positions": positions},
     )
-
 
 from functools import lru_cache
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 __all__ = ["RawFinding", "LintRule", "RULES", "register"]
 
@@ -752,4 +752,64 @@ class EagerTelemetryFormatRule(LintRule):
                         "precompute the name (e.g. an lru_cache'd table)",
                     )
                 )
+        return findings
+
+
+# ---------------------------------------------------------------------------
+# RPL009 — no unused imports
+# ---------------------------------------------------------------------------
+
+
+def _exported_names(tree: ast.Module) -> Set[str]:
+    """String entries of a module-level ``__all__`` list or tuple."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            names.update(
+                e.value for e in ast.walk(stmt.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+    return names
+
+
+@register
+class UnusedImportRule(LintRule):
+    """Dead imports hide which layer a module really depends on and
+    outlive the code that needed them.  Every name an ``import``
+    statement binds must be read somewhere in the module: as a name,
+    an attribute root, or as an ``__all__`` re-export (a name read only
+    inside a quoted annotation does not count).  Package ``__init__.py``
+    files re-export by design and are exempt, as are ``from __future__``
+    imports.  Usage is module-wide: a function-local import counts as
+    used if its name is read anywhere in the file."""
+
+    code = "RPL009"
+    name = "no-unused-imports"
+    summary = (
+        "every imported name must be used in the module or re-exported "
+        "through __all__ (package __init__.py files are exempt)"
+    )
+
+    def applies_to(self, relpath: str) -> bool:
+        return PurePosixPath(relpath).name != "__init__.py"
+
+    def check(self, tree, source, relpath):
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _exported_names(tree)
+        findings: List[RawFinding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                if alias.name != "*" and (alias.asname or alias.name.split(".")[0]) not in used:
+                    shown = alias.name + (f" as {alias.asname}" if alias.asname else "")
+                    findings.append(
+                        RawFinding(
+                            node.lineno, node.col_offset, f"'{shown}' is imported but never used"
+                        )
+                    )
         return findings

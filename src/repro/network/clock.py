@@ -12,9 +12,7 @@ assumed (see ``benchmarks/test_bench_text_clock_sync.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .._validation import check_non_negative, ensure_rng
 

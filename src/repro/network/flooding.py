@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from ..errors import ValidationError
 from .simulator import NetworkSimulator
 
 __all__ = ["FloodResult", "flood"]

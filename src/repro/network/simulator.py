@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .._validation import ensure_rng
 from ..errors import ValidationError

@@ -27,13 +27,13 @@ for localization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .._validation import as_positions, check_positive, ensure_rng
 from ..acoustics.hardware import HardwarePopulation, HardwareProfile
-from ..core.measurements import MeasurementSet
+from ..core.measurements import MeasurementSet, RangeMeasurement
 from ..network.radio import RadioModel
 from .link import LinkRealization
 from .service import RangingService
@@ -130,7 +130,7 @@ class RangingCampaign:
 
     def run(self) -> MeasurementSet:
         """Execute all rounds; returns the raw directed measurement set."""
-        measurements = MeasurementSet()
+        found = []
         limit = self._attempt_range()
         n = self.n_nodes
         block = self.service.block(max(n - 1, 0))
@@ -159,17 +159,12 @@ class RangingCampaign:
                 if not attempted:
                     continue
                 estimates = self.service.estimates(block)
-                for (receiver, distance), estimate in zip(attempted, estimates):
-                    if estimate is None:
-                        continue
-                    measurements.add_distance(
-                        source,
-                        receiver,
-                        estimate,
-                        true_distance=distance,
-                        round_index=round_index,
-                    )
-        return measurements
+                found += [
+                    RangeMeasurement(source, receiver, estimate, distance, round_index)
+                    for (receiver, distance), estimate in zip(attempted, estimates)
+                    if estimate is not None
+                ]
+        return MeasurementSet(found)
 
 
 def run_campaign(

@@ -58,18 +58,16 @@ def bidirectional_filter(
     """
     check_non_negative(tolerance_m, "tolerance_m")
     reduced = measurements.reduce("median")
-    out = MeasurementSet()
+    kept = []
     for (i, j) in reduced.undirected_pairs:
         forward = reduced.distances(i, j)
         backward = reduced.distances(j, i)
         if forward.size and backward.size:
             if abs(float(forward[0]) - float(backward[0])) <= tolerance_m:
-                for m in reduced.get(i, j) + reduced.get(j, i):
-                    out.add(m)
+                kept += reduced.get(i, j) + reduced.get(j, i)
         elif keep_unpaired:
-            for m in reduced.get(i, j) + reduced.get(j, i):
-                out.add(m)
-    return out
+            kept += reduced.get(i, j) + reduced.get(j, i)
+    return MeasurementSet(kept)
 
 
 def triangle_filter(
@@ -101,10 +99,8 @@ def triangle_filter(
     if drop_policy not in ("greedy", "suspect", "all"):
         raise ValidationError("drop_policy must be 'greedy', 'suspect' or 'all'")
     reduced = measurements.symmetrized()
-    pairs = reduced.undirected_pairs
-    dist: Dict[Tuple[int, int], float] = {
-        (i, j): float(reduced.distances(i, j)[0]) for (i, j) in pairs
-    }
+    pairs = list(zip(reduced.source.tolist(), reduced.receiver.tolist()))
+    dist: Dict[Tuple[int, int], float] = dict(zip(pairs, reduced.distance.tolist()))
     nodes = reduced.node_ids
     neighbor_map: Dict[int, Set[int]] = {n: set() for n in nodes}
     for (i, j) in pairs:
@@ -156,11 +152,9 @@ def triangle_filter(
             else:  # "all"
                 bad_edges.update(triple)
 
-    def edge_ok(m) -> bool:
-        key = (min(m.source, m.receiver), max(m.source, m.receiver))
-        return key not in bad_edges
-
-    return measurements.filter(edge_ok)
+    low = np.minimum(measurements.source, measurements.receiver).tolist()
+    high = np.maximum(measurements.source, measurements.receiver).tolist()
+    return measurements.take([edge not in bad_edges for edge in zip(low, high)])
 
 
 def consistency_pipeline(

@@ -22,7 +22,7 @@ it:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def min_spacing_filter(
     """
     check_positive(min_spacing_m, "min_spacing_m")
     floor = 0.9 * min_spacing_m
-    return measurements.filter(lambda m: m.distance >= floor)
+    return measurements.take(measurements.distance >= floor)
 
 
 def grid_distance_set(
@@ -103,7 +103,7 @@ def feasible_distance_filter(
         raise ValidationError("feasible distances must be non-negative")
     check_non_negative(tolerance_m, "tolerance_m")
 
-    out = MeasurementSet()
+    kept = []
     for m in measurements:
         idx = int(np.searchsorted(feasible, m.distance))
         candidates = []
@@ -115,11 +115,5 @@ def feasible_distance_filter(
         if abs(nearest - m.distance) > tolerance_m:
             continue
         distance = float(nearest) if snap else m.distance
-        out.add_distance(
-            m.source,
-            m.receiver,
-            distance,
-            true_distance=m.true_distance,
-            round_index=m.round_index,
-        )
-    return out
+        kept.append(replace(m, distance=distance))
+    return MeasurementSet(kept)

@@ -34,7 +34,7 @@ def limit_rounds(measurements: MeasurementSet, max_rounds: int) -> MeasurementSe
     """
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    return measurements.filter(lambda m: m.round_index < max_rounds)
+    return measurements.take(measurements.round_index < max_rounds)
 
 
 def median_filter(measurements: MeasurementSet, *, max_rounds: Optional[int] = None) -> MeasurementSet:
@@ -64,15 +64,12 @@ def statistical_filter(
     """
     if mode_threshold < 1:
         raise ValidationError("mode_threshold must be >= 1")
-    out = MeasurementSet()
+    reduced = []
     for (i, j) in measurements.directed_pairs:
-        values = measurements.distances(i, j)
         subset = MeasurementSet(measurements.get(i, j))
-        statistic = "mode" if values.size >= mode_threshold else "median"
-        reduced = subset.reduce(statistic)
-        for m in reduced:
-            out.add(m)
-    return out
+        statistic = "mode" if len(subset) >= mode_threshold else "median"
+        reduced += subset.reduce(statistic)
+    return MeasurementSet(reduced)
 
 
 def confidence_weighted_edges(
@@ -126,14 +123,8 @@ def confidence_weighted_edges(
         pairs.append((i, j))
         dists.append(float(np.median(both)))
         weights.append(weight)
-    if not pairs:
-        return EdgeList(
-            pairs=np.zeros((0, 2), dtype=np.int64),
-            distances=np.zeros(0),
-            weights=np.zeros(0),
-        )
     return EdgeList(
-        pairs=np.asarray(pairs, dtype=np.int64),
-        distances=np.asarray(dists),
-        weights=np.asarray(weights),
+        pairs=np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+        distances=np.asarray(dists, dtype=float),
+        weights=np.asarray(weights, dtype=float),
     )

@@ -19,13 +19,13 @@ simulated distances:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .._validation import as_positions, check_non_negative, check_positive, check_probability, ensure_rng
 from ..core.geometry import pairwise_distances
-from ..core.measurements import EdgeList, MeasurementSet
+from ..core.measurements import EdgeList, MeasurementSet, RangeMeasurement, as_edge_list
 from ..errors import ValidationError
 
 __all__ = [
@@ -68,12 +68,12 @@ def gaussian_ranges(
         pairs = eligible_pairs(pts, max_range_m)
     else:
         pairs = np.asarray(pairs, dtype=np.int64)
-    out = MeasurementSet()
-    for i, j in pairs:
-        truth = float(np.hypot(*(pts[i] - pts[j])))
-        noisy = max(0.0, truth + float(rng.normal(0.0, sigma_m)))
-        out.add_distance(int(i), int(j), noisy, true_distance=truth)
-    return out
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    truth = np.hypot(diff[:, 0], diff[:, 1])
+    # One vector draw consumes the generator exactly as one scalar draw
+    # per pair would; the clamp is max(0.0, x), NaN and -0.0 included.
+    noisy = truth + rng.normal(0.0, sigma_m, size=truth.shape[0])
+    return MeasurementSet.from_edge_arrays(pairs, np.where(noisy > 0.0, noisy, 0.0), truth)
 
 
 def augment_with_gaussian_ranges(
@@ -102,14 +102,8 @@ def augment_with_gaussian_ranges(
     """
     pts = as_positions(positions, "positions")
     rng = ensure_rng(rng)
-    if isinstance(measurements, EdgeList):
-        measured = {(min(int(i), int(j)), max(int(i), int(j))) for i, j in measurements.pairs}
-    elif isinstance(measurements, MeasurementSet):
-        measured = {tuple(p) for p in measurements.undirected_pairs}
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
+    pairs = as_edge_list(measurements).pairs
+    measured = set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
     candidates = [
         (int(i), int(j))
         for i, j in eligible_pairs(pts, max_range_m)
@@ -243,16 +237,13 @@ def statistical_campaign(
     limit = attempt_range_m if attempt_range_m is not None else 1.3 * model.max_range_m
     dist = pairwise_distances(pts)
     n = pts.shape[0]
-    out = MeasurementSet()
+    found = []
     for round_index in range(rounds):
         for i in range(n):
             for j in range(n):
                 if i == j or dist[i, j] > limit:
                     continue
                 est = model.sample(float(dist[i, j]), rng)
-                if est is None:
-                    continue
-                out.add_distance(
-                    i, j, est, true_distance=float(dist[i, j]), round_index=round_index
-                )
-    return out
+                if est is not None:
+                    found.append(RangeMeasurement(i, j, est, float(dist[i, j]), round_index))
+    return MeasurementSet(found)

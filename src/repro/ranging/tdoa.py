@@ -20,7 +20,6 @@ offset).  :class:`TdoaConfig` carries the conversion constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .._validation import check_non_negative, check_positive

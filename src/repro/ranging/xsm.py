@@ -30,7 +30,6 @@ import numpy as np
 from .._validation import check_non_negative, check_positive, ensure_rng
 from ..acoustics.environment import Environment
 from ..acoustics.propagation import LOUD_SPEAKER_SOURCE_LEVEL_DB, received_level_db
-from ..acoustics.signal import DEFAULT_SAMPLING_RATE_HZ
 from .dft import tone_detect_waveform
 from .tdoa import TdoaConfig
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from .._canonical import canonical_json
-from ..core.measurements import MeasurementSet
+from ..core.measurements import MeasurementSet, RangeMeasurement
 from ..engine.campaign import CampaignResult, TrialRecord
 from ..engine.scheduler import ScheduledCampaignResult
 from ..engine.sharding import ShardCampaignResult, ShardSpec
@@ -169,14 +169,13 @@ def measurement_set_from_payload(payload: Dict[str, Any]) -> MeasurementSet:
         raise ValidationError(
             f"not a measurements payload: type={payload.get('type')!r}"
         )
-    out = MeasurementSet()
-    for entry in payload["measurements"]:
-        truth: Optional[float] = entry.get("true_distance")
-        out.add_distance(
+    return MeasurementSet(
+        RangeMeasurement(
             int(entry["source"]),
             int(entry["receiver"]),
             float(entry["distance"]),
-            true_distance=None if truth is None else float(truth),
-            round_index=int(entry.get("round_index", 0)),
+            entry.get("true_distance"),
+            int(entry.get("round_index", 0)),
         )
-    return out
+        for entry in payload["measurements"]
+    )

@@ -49,6 +49,23 @@ def multilateration_problems(seed: int = 20050, n_problems: int = 6):
     return anchor_sets, dist_sets, weight_sets
 
 
+def pad_problems(anchor_sets, dist_sets, weight_sets):
+    """Ragged per-problem arrays as the padded ``(anchors, dists,
+    weights, valid)`` stack ``solve_multilateration_batch`` takes:
+    each row packed valid-first, padded with zeros to the largest
+    problem."""
+    n_problems = len(anchor_sets)
+    width = max((len(a) for a in anchor_sets), default=0)
+    anchors = np.zeros((n_problems, width, 2))
+    dists = np.zeros((n_problems, width))
+    weights = np.zeros((n_problems, width))
+    valid = np.zeros((n_problems, width), dtype=bool)
+    for b, (a, d, w) in enumerate(zip(anchor_sets, dist_sets, weight_sets)):
+        k = len(a)
+        anchors[b, :k], dists[b, :k], weights[b, :k], valid[b, :k] = a, d, w, True
+    return anchors, dists, weights, valid
+
+
 def shared_edge_problem(seed: int = 20051, n_nodes: int = 8, n_batch: int = 5):
     """One shared-edge LSS problem: edge list + stacked configurations."""
     rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ multilateration (``localize_network``), LSS (``lss_localize`` /
 import numpy as np
 import pytest
 
+from _kernel_fixtures import pad_problems
 from repro.core import (
     LssConfig,
     dv_distance_localize,
@@ -151,9 +152,11 @@ class TestBatchKernelParity:
         target = np.array([7.0, 11.0])
         good_d = np.hypot(*(good - target).T)
         pos, solved, res = solve_multilateration_batch(
-            [line, good],
-            [np.array([5.0, 5.0, 15.0]), good_d],
-            [np.ones(3), np.ones(4)],
+            *pad_problems(
+                [line, good],
+                [np.array([5.0, 5.0, 15.0]), good_d],
+                [np.ones(3), np.ones(4)],
+            ),
             consistency_check=False,
         )
         assert not solved[0] and np.isnan(pos[0]).all()
@@ -184,7 +187,8 @@ class TestInvalidRangeParity:
             )
         with pytest.raises(ValidationError, match=field):
             solve_multilateration_batch(
-                [self.ANCHORS], [dists], [weights], consistency_check=consistency_check
+                *pad_problems([self.ANCHORS], [dists], [weights]),
+                consistency_check=consistency_check,
             )
 
     @pytest.mark.parametrize("consistency_check", [True, False])
@@ -195,7 +199,8 @@ class TestInvalidRangeParity:
             self.ANCHORS, dists, weights=weights, consistency_check=consistency_check
         )
         pos, solved, _ = solve_multilateration_batch(
-            [self.ANCHORS], [dists], [weights], consistency_check=consistency_check
+            *pad_problems([self.ANCHORS], [dists], [weights]),
+            consistency_check=consistency_check,
         )
         assert solved[0]
         assert pos[0] == pytest.approx(scalar.position, abs=1e-6)

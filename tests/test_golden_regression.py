@@ -30,6 +30,7 @@ from _kernel_fixtures import (
     local_lss_config,
     local_map_stack,
     multilateration_problems,
+    pad_problems,
     padded_problem_stack,
     sha256_bytes,
     shared_edge_problem,
@@ -346,7 +347,9 @@ class TestGoldenPins:
     """Every public engine kernel reproduces its pinned bytes."""
 
     def test_multilateration_pin(self):
-        pos, solved, residuals = solve_multilateration_batch(*multilateration_problems())
+        pos, solved, residuals = solve_multilateration_batch(
+            *pad_problems(*multilateration_problems())
+        )
         assert (
             sha256_bytes(pos, solved, residuals)
             == GOLDEN_PINS["solve_multilateration_batch"]
@@ -434,7 +437,7 @@ class TestKernelsMatchScalarReference:
     def test_multilateration(self):
         anchor_sets, dist_sets, weight_sets = multilateration_problems()
         pos, solved, residuals = solve_multilateration_batch(
-            anchor_sets, dist_sets, weight_sets
+            *pad_problems(anchor_sets, dist_sets, weight_sets)
         )
         for b, (anchors, dists, weights) in enumerate(
             zip(anchor_sets, dist_sets, weight_sets)

@@ -37,10 +37,10 @@ def check(source, relpath="module.py", config=STRICT):
 
 
 class TestRegistry:
-    def test_ships_the_seven_documented_rules(self):
+    def test_ships_the_eight_documented_rules(self):
         # Code 2 retired with the kernel module it guarded; it stays
         # unused so the other codes keep their meaning.
-        assert sorted(RULES) == [f"RPL00{i}" for i in (1, 3, 4, 5, 6, 7, 8)]
+        assert sorted(RULES) == [f"RPL00{i}" for i in (1, 3, 4, 5, 6, 7, 8, 9)]
 
     def test_every_rule_has_name_and_summary(self):
         for code, rule in RULES.items():
@@ -59,11 +59,11 @@ class TestRPL001GlobalRNG:
         assert codes(check(bad)) == ["RPL001"]
 
     def test_flags_stdlib_random_import(self):
-        assert codes(check("import random\n")) == ["RPL001"]
-        assert codes(check("from random import shuffle\n")) == ["RPL001"]
+        assert codes(check("import random\nrandom\n")) == ["RPL001"]
+        assert codes(check("from random import shuffle\nshuffle\n")) == ["RPL001"]
 
     def test_flags_from_numpy_random_import_of_banned_name(self):
-        bad = "from numpy.random import normal\n"
+        bad = "from numpy.random import normal\nnormal\n"
         assert codes(check(bad)) == ["RPL001"]
 
     def test_allows_generator_seedsequence_surface(self):
@@ -72,6 +72,7 @@ class TestRPL001GlobalRNG:
             "from numpy.random import SeedSequence, default_rng\n"
             "rng = np.random.default_rng(np.random.SeedSequence(7))\n"
             "gen = np.random.Generator(np.random.PCG64(3))\n"
+            "seeded = default_rng(SeedSequence(7))\n"
         )
         assert codes(check(good)) == []
 
@@ -333,9 +334,49 @@ class TestRPL008EagerTelemetryFormat:
         assert codes(check(source, "store/result_store.py")) == []
 
 
+class TestRPL009UnusedImports:
+    def test_flags_each_unused_name(self):
+        bad = "import math\nfrom typing import Dict, List\nx: Dict = {}\n"
+        report = check(bad)
+        assert codes(report) == ["RPL009", "RPL009"]
+        assert [f.line for f in report.findings] == [1, 2]
+        assert "'math'" in report.findings[0].message
+        assert "'List'" in report.findings[1].message
+
+    def test_alias_is_named_in_the_message(self):
+        report = check("import numpy as np\n")
+        assert codes(report) == ["RPL009"]
+        assert "'numpy as np'" in report.findings[0].message
+
+    def test_attribute_root_and_annotation_count_as_use(self):
+        good = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import Optional\n"
+            "def f(p) -> Optional[str]:\n"
+            "    return os.path.join(p)\n"
+        )
+        assert codes(check(good)) == []
+
+    def test_all_reexport_and_future_import_are_clean(self):
+        good = (
+            "from __future__ import annotations\n"
+            "from .errors import ValidationError\n"
+            "__all__ = ['ValidationError']\n"
+        )
+        assert codes(check(good)) == []
+
+    def test_package_init_is_exempt(self):
+        assert codes(check("from .core import lss_localize\n", "core/__init__.py")) == []
+
+    def test_function_local_import_is_checked(self):
+        bad = "def f():\n    from ..engine.batch import batch_lss_descend\n    return 1\n"
+        assert codes(check(bad)) == ["RPL009"]
+
+
 class TestSuppressionsAndAllowlist:
     def test_inline_suppression_moves_finding_to_suppressed(self):
-        source = "import random  # repro-lint: disable=RPL001\n"
+        source = "import random  # repro-lint: disable=RPL001\nrandom\n"
         report = check(source)
         assert report.clean
         assert [finding.code for finding in report.suppressed] == ["RPL001"]
@@ -344,6 +385,7 @@ class TestSuppressionsAndAllowlist:
         source = (
             "import random  # repro-lint: disable=RPL001\n"
             "from random import shuffle\n"
+            "random, shuffle\n"
         )
         report = check(source)
         assert codes(report) == ["RPL001"]
@@ -380,7 +422,7 @@ class TestSuppressionsAndAllowlist:
         config = LintConfig(
             allowlist=(AllowEntry("RPL003", "store/gc.py", "clock"),)
         )
-        source = "import random\n"
+        source = "import random\nrandom\n"
         assert codes(check(source, "store/gc.py", config=config)) == ["RPL001"]
 
     def test_directory_scope_matches_anywhere_in_path(self):
@@ -448,7 +490,7 @@ class TestJsonReport:
         assert parsed == report
 
     def test_json_carries_schema_and_counts(self):
-        report = check("import random\n")
+        report = check("import random\nrandom\n")
         payload = json.loads(report.to_json())
         assert payload["schema"] == LINT_SCHEMA_VERSION
         assert payload["counts"] == {"findings": 1, "suppressed": 0, "allowed": 0}
